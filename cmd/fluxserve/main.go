@@ -80,7 +80,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 
 	// One machine-readable line on startup: clients need the sensor count
 	// to size their readings vectors.
@@ -106,4 +106,26 @@ func run(args []string) error {
 		return err
 	}
 	return nil
+}
+
+// Connection deadlines for the resident binary. A client that trickles
+// header bytes, stalls mid-body, or parks an idle keep-alive connection
+// would otherwise hold a goroutine and a file descriptor for the life of
+// the process. The body deadline is generous because a restore uploads a
+// whole checkpoint blob.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// binary's connection deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -224,8 +224,9 @@ func TestEvaluateScratchZeroAllocs(t *testing.T) {
 
 // BenchmarkCompositionEval measures the steady-state cost of one
 // composition evaluation (k users, alternating compositions so one Gram
-// row is recomputed per eval, like the exhaustive scan's innermost loop).
-// -benchmem must report 0 allocs/op.
+// row is recomputed per eval, like the exhaustive scan's innermost loop);
+// -benchmem must report 0 allocs/op for those. The track cases time the
+// screened conditional scan per composition (see benchTrackScan).
 func BenchmarkCompositionEval(b *testing.B) {
 	for _, k := range []int{1, 2, 3} {
 		b.Run(map[int]string{1: "k=1", 2: "k=2", 3: "k=3"}[k], func(b *testing.B) {
@@ -265,6 +266,63 @@ func BenchmarkCompositionEval(b *testing.B) {
 			}
 		})
 	}
+	b.Run("track-screened", func(b *testing.B) { benchTrackScan(b, false) })
+	b.Run("track-exact", func(b *testing.B) { benchTrackScan(b, true) })
+}
+
+// benchTrackScan measures the conditional scan at the tracker's shape: 81
+// sniffed nodes, three users, 1000 candidates for the scanned user with the
+// other two fixed — one scan per iteration (a refinement-sweep scan, so it
+// includes the incumbent re-evaluation and its Eval), reported as
+// ns/composition. exact recomputes every candidate's residual, the cost the
+// screen avoids.
+func benchTrackScan(b *testing.B, exact bool) {
+	src := rng.New(78)
+	field := geom.Square(30)
+	model, err := fluxmodel.New(field, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n, k, nc = 81, 3, 1000
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = src.InRect(field)
+	}
+	truths := []geom.Point{src.InRect(field), src.InRect(field), src.InRect(field)}
+	measured, err := model.PredictFlux(truths, []float64{1.5, 2, 2.5}, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range measured {
+		measured[i] = math.Max(measured[i]*(1+0.1*src.Norm()), 0)
+	}
+	p, err := NewProblemWeighted(model, pts, measured, RelativeWeights(measured))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := make([][]geom.Point, k)
+	for j := range cands {
+		cands[j] = make([]geom.Point, nc)
+		for i := range cands[j] {
+			cands[j][i] = src.InRect(field)
+		}
+	}
+	s := NewSearcher()
+	s.exactScan = exact
+	if err := s.prepare(p, cands, 1); err != nil {
+		b.Fatal(err)
+	}
+	assigned := []bool{true, true, false}
+	bestIdx := []int{0, 1, 0}
+	opts := Options{Workers: 1}.withDefaults()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.scanUser(p, cands, bestIdx, assigned, 2, opts, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nc), "ns/composition")
 }
 
 // BenchmarkCompositionEvalReference is the pre-Gram path on the same

@@ -33,6 +33,7 @@ type Problem struct {
 	measured []float64    // flux readings F′ at those nodes
 	weights  []float64    // per-sample weights applied inside the objective
 	wb       []float64    // weighted measurement W·F′ (aliases measured when unweighted)
+	wbSq     float64      // ‖wb‖², the constant term of the closed-form objective
 
 	// origIdx maps each (possibly compacted) sample back to its index in
 	// the full sensor layout; nil means the identity. NewProblemMasked sets
@@ -96,6 +97,9 @@ func NewProblemWeighted(model *fluxmodel.Model, points []geom.Point, measured, w
 		for i, w := range weights {
 			p.wb[i] = w * p.measured[i]
 		}
+	}
+	for _, v := range p.wb {
+		p.wbSq += v * v
 	}
 	return p, nil
 }

@@ -12,11 +12,38 @@
 //	proj  = ⟨wcol, W·F′⟩     its projection onto the weighted measurement,
 //
 // so a composition only needs the k(k−1)/2 cross-terms ⟨wcolᵢ, wcolⱼ⟩ plus
-// a k×k NNLS solved in a preallocated workspace (mat.NNLSGramInto). The
-// fitted objective is then recovered from the explicit weighted residual —
-// not from the normal-equation identity ‖r‖² = ‖b‖² − 2xᵀd + xᵀGx, which
-// cancels catastrophically for good fits — so objectives keep full relative
-// precision.
+// a k×k NNLS solved in a preallocated workspace (mat.NNLSGramInto).
+//
+// Every reported objective is the exact one: the norm of the explicit
+// n-long weighted residual (residualNorm). The normal-equation identity
+//
+//	‖r‖² = ‖wb‖² − 2xᵀd + xᵀGx     (wb = W·F′, d = projections, G = Gram)
+//
+// costs O(k²) instead of O(n·k), but it cancels catastrophically for good
+// fits, so it is never reported. The conditional scan uses it as a screen
+// instead (see Searcher.scanUser): solveScreened returns the closed form q
+// together with a rounding bound e such that the exact objective R, as
+// residualNorm computes it in floating point, satisfies R² ∈ [q−e, q+e].
+// With U the M-th smallest q+e of a scan, at least M candidates have
+// R² ≤ U, so any candidate with q−e > U is strictly worse than M others:
+// it can enter neither the top-M ranking nor the argmin, under any
+// tie-breaking. Only the other candidates get their exact R recomputed,
+// from the stretches the NNLS already produced, so the ranked output is
+// byte-identical to evaluating every candidate exactly.
+//
+// The bound is e = τ·(‖wb‖² + 2Σ|xⱼdⱼ| + Σ|xⱼGⱼₗxₗ|) + ν. The identity holds
+// exactly in real arithmetic for any x, so e only has to cover rounding:
+// the n-term dot products behind ‖wb‖², d and G, the O(k²) combination,
+// and the residual path's own subtractions and scaled norm. Each of those
+// errors is at most a few (n + k²)·u times s² with u = 2⁻⁵³ and
+// s = ‖wb‖ + Σ|xⱼ|·‖wcolⱼ‖, and s² ≤ (k+1)·(the bracket above) by
+// Cauchy–Schwarz. screenBound picks τ = max(1e-8, 64·(n+k²+8)·(k+1)·u),
+// which at the tracker's n ≈ 80 is about 10⁴ times the worst case, enough
+// to also absorb the screen's own comparisons; ν is an absolute floor for
+// subnormal underflow. A non-finite q or e always forces the exact
+// recompute, and a NaN among the exact objectives makes the scan recompute
+// every candidate, so the ranking then sorts exactly the array the
+// unscreened scan sorted.
 //
 // Every Gram entry is a pure function of its candidate pair (the dot
 // product runs in ascending index order regardless of which slot changed),
@@ -26,6 +53,8 @@
 package fit
 
 import (
+	"math"
+
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mat"
 )
@@ -145,14 +174,55 @@ func (sc *evalScratch) setCol(j int, c *candCol) {
 func (sc *evalScratch) solve(p *Problem) float64 {
 	k := sc.k
 	mat.NNLSGramInto(sc.gram[:k*k], sc.d[:k], sc.x[:k], &sc.ws)
+	return sc.residualNorm(p, sc.cur[:k], sc.x[:k])
+}
+
+// solveScreened runs the same NNLS as solve but skips the residual: it
+// returns the closed-form squared objective q = ‖wb‖² − 2xᵀd + xᵀGx and a
+// bound e with the exact objective's square in [q−e, q+e] (see the file
+// comment; tau and floor come from screenBound). The stretches are left in
+// sc.x[:sc.k], so residualNorm can later produce the exact objective
+// without another solve.
+func (sc *evalScratch) solveScreened(p *Problem, tau, floor float64) (q, e float64) {
+	k := sc.k
+	x := sc.x[:k]
+	mat.NNLSGramInto(sc.gram[:k*k], sc.d[:k], x, &sc.ws)
+	var xd, xdAbs, xgx, xgxAbs float64
+	for j, xj := range x {
+		t := xj * sc.d[j]
+		xd += t
+		xdAbs += math.Abs(t)
+		for l, gjl := range sc.gram[j*k : j*k+k] {
+			t := xj * gjl * x[l]
+			xgx += t
+			xgxAbs += math.Abs(t)
+		}
+	}
+	q = p.wbSq - 2*xd + xgx
+	e = tau*(p.wbSq+2*xdAbs+xgxAbs) + floor
+	return q, e
+}
+
+// screenBound returns the relative factor τ and absolute floor ν of the
+// screen's rounding bound for n samples and k-user compositions.
+func screenBound(n, k int) (tau, floor float64) {
+	terms := float64((n + k*k + 8) * (k + 1))
+	return math.Max(1e-8, 64*terms*0x1p-53), terms * 0x1p-1060
+}
+
+// residualNorm returns the exact weighted objective ‖wb − Σⱼ xⱼ·colsⱼ‖₂
+// of the composition cols with stretches x, through the explicit residual
+// and the overflow-safe mat.Norm2. Equal inputs give equal bits, which is
+// what lets the screened scan recompute an objective from stored stretches
+// instead of re-solving.
+func (sc *evalScratch) residualNorm(p *Problem, cols []*candCol, x []float64) float64 {
 	resid := sc.resid
 	copy(resid, p.wb)
-	for j := 0; j < k; j++ {
-		xj := sc.x[j]
+	for j, xj := range x {
 		if xj == 0 {
 			continue
 		}
-		for i, v := range sc.cur[j].wcol {
+		for i, v := range cols[j].wcol {
 			resid[i] -= xj * v
 		}
 	}

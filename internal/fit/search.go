@@ -28,10 +28,22 @@ type Searcher struct {
 	cands    [][]candCol // per-user candidate caches, rebuilt per search
 	scratch  []*evalScratch
 
-	// Conditional-scan buffers, indexed by candidate.
-	objs    []float64
-	stretch []float64
-	order   []int
+	// Conditional-scan buffers: the screened pass's per-candidate closed
+	// form, bound and slot-aligned stretches (kk per candidate), the exact
+	// objectives of the candidates the screen keeps, the survivor/ranking
+	// order, the top-M selection heap, and the composition's column slots.
+	screenQ   []float64
+	screenE   []float64
+	screenX   []float64
+	objs      []float64
+	order     []int
+	heap      []float64
+	scanCols  []*candCol
+	scanPass  screenPass
+	screenRan uint64 // exact objectives the screen recomputed (read by tests)
+	// exactScan disables the screen's skipping (every candidate is
+	// recomputed exactly); tests use it as the all-exact reference.
+	exactScan bool
 
 	// Exhaustive-scan per-(worker, candidate) best objective/stretch pairs.
 	bestArena []float64
@@ -547,44 +559,69 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 // set it returns the topM ranking; when every other user is assigned it
 // also re-evaluates the incumbent composition in user order (so Positions
 // and Stretches align user-by-user for the caller) and returns it.
+//
+// Candidates are ranked through the closed-form screen of gram.go: the
+// parallel pass solves every candidate's NNLS and stores q, e and the
+// stretches; the serial screen then recomputes the exact objective only
+// for candidates that can still reach the top M (TopM when ranking, 1
+// otherwise). The result is byte-identical to ranking every candidate
+// exactly, with the same NNLS work, and the steady state allocates nothing
+// beyond the returned ranking and incumbent Eval.
 func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int, assigned []bool,
 	j int, opts Options, wantRanked bool) ([]RankedPosition, Eval, error) {
 	k := len(candidates)
-	fixed := 0
+	if cap(s.scanCols) < k {
+		s.scanCols = make([]*candCol, k)
+	}
+	cols := s.scanCols[:0]
+	allAssigned := true
 	for o := 0; o < k; o++ {
-		if o != j && assigned[o] {
-			fixed++
+		switch {
+		case o == j:
+		case assigned[o]:
+			cols = append(cols, &s.cands[o][bestIdx[o]])
+		default:
+			allAssigned = false
 		}
 	}
-	kk := fixed + 1
+	kk := len(cols) + 1
+	cols = cols[:kk]
 	nc := len(candidates[j])
-	objs := growFloats(&s.objs, nc)
-	strJ := growFloats(&s.stretch, nc)
+	n := len(p.points)
 	workers := resolveWorkers(nc, opts.Workers)
-	scratches := s.scratchSet(workers, len(p.points), kk)
-	err := parallelFor(nc, opts.Workers, func(w, i int) error {
-		sc := scratches[w]
-		sc.setK(kk)
-		slot := 0
-		for o := 0; o < k; o++ {
-			if o == j || !assigned[o] {
-				continue
-			}
-			sc.setCol(slot, &s.cands[o][bestIdx[o]]) // no-op after the first candidate
-			slot++
+	scratches := s.scratchSet(workers, n, kk)
+
+	sp := &s.scanPass
+	tau, floor := screenBound(n, kk)
+	*sp = screenPass{
+		p: p, fixed: cols[:kk-1], cands: s.cands[j], scratches: scratches,
+		tau: tau, floor: floor,
+		q: growFloats(&s.screenQ, nc), e: growFloats(&s.screenE, nc), x: growFloats(&s.screenX, nc*kk),
+	}
+	if workers == 1 {
+		// Inline, so a serial scan does not pay the fork-join's closure.
+		for i := 0; i < nc; i++ {
+			sp.eval(0, i)
 		}
-		sc.setCol(kk-1, &s.cands[j][i])
-		objs[i] = sc.solve(p)
-		strJ[i] = sc.x[kk-1]
-		return nil
-	})
-	if err != nil {
+	} else if err := parallelFor(nc, workers, sp.eval); err != nil {
 		return nil, Eval{}, err
 	}
 
+	m := 1
+	if wantRanked {
+		m = min(opts.TopM, nc)
+	}
+	if s.exactScan {
+		m = nc
+	}
+	surv := s.screen(p, scratches[0], cols, j, nc, m)
+
+	// Argmin over the survivors in index order: every minimizer survived
+	// the screen, so this is the unscreened scan's lowest-index argmin.
+	objs := s.objs[:nc]
 	bestI := bestIdx[j]
 	bestObj := math.Inf(1)
-	for i := 0; i < nc; i++ {
+	for _, i := range surv {
 		if objs[i] < bestObj {
 			bestObj, bestI = objs[i], i
 		}
@@ -593,43 +630,25 @@ func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int
 
 	var ranked []RankedPosition
 	if wantRanked {
-		if cap(s.order) < nc {
-			s.order = make([]int, nc)
-		}
-		ord := s.order[:nc]
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool {
-			if objs[ord[a]] != objs[ord[b]] {
-				return objs[ord[a]] < objs[ord[b]]
+		sort.Slice(surv, func(a, b int) bool {
+			if objs[surv[a]] != objs[surv[b]] {
+				return objs[surv[a]] < objs[surv[b]]
 			}
-			return ord[a] < ord[b]
+			return surv[a] < surv[b]
 		})
-		topM := opts.TopM
-		if topM > nc {
-			topM = nc
-		}
-		ranked = make([]RankedPosition, topM)
+		ranked = make([]RankedPosition, min(opts.TopM, nc))
 		for t := range ranked {
-			i := ord[t]
+			i := surv[t]
 			ranked[t] = RankedPosition{
 				Pos:       candidates[j][i],
 				Index:     i,
-				Stretch:   strJ[i],
+				Stretch:   s.screenX[i*kk+kk-1],
 				Objective: objs[i],
 			}
 		}
 	}
 
 	var bestEval Eval
-	allAssigned := true
-	for o := 0; o < k; o++ {
-		if o != j && !assigned[o] {
-			allAssigned = false
-			break
-		}
-	}
 	if allAssigned {
 		sc := scratches[0]
 		sc.setK(k)
@@ -644,4 +663,120 @@ func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int
 		bestEval = makeEval(positions, sc.x[:k], obj)
 	}
 	return ranked, bestEval, nil
+}
+
+// screenPass is the parallel half of scanUser: one NNLS plus the closed
+// form per candidate of the scanned user, results written to index-disjoint
+// slots. It lives in the Searcher rather than in a closure because a
+// closure handed to the fork-join escapes, and would allocate on every scan
+// even when the scan runs inline.
+type screenPass struct {
+	p          *Problem
+	fixed      []*candCol // incumbent columns of the other assigned users
+	cands      []candCol  // the scanned user's candidate caches
+	scratches  []*evalScratch
+	tau, floor float64
+	q, e, x    []float64 // per candidate: closed form, bound, stretches
+}
+
+func (sp *screenPass) eval(w, i int) error {
+	sc := sp.scratches[w]
+	kk := len(sp.fixed) + 1
+	sc.setK(kk)
+	for slot, c := range sp.fixed {
+		sc.setCol(slot, c) // no-op after the worker's first candidate
+	}
+	sc.setCol(kk-1, &sp.cands[i])
+	sp.q[i], sp.e[i] = sc.solveScreened(sp.p, sp.tau, sp.floor)
+	copy(sp.x[i*kk:(i+1)*kk], sc.x[:kk])
+	return nil
+}
+
+// screen is the serial half of scanUser. It takes U, the m-th smallest
+// q+e over the scanned user's nc candidates, and recomputes the exact
+// objective into s.objs for every candidate with q−e ≤ U or a non-finite
+// q, from the stretches the parallel pass stored. It returns those
+// survivors in ascending index order; every other candidate is provably
+// outside the top m (see gram.go). If an exact objective comes out NaN,
+// every candidate is recomputed and survives, so callers rank exactly the
+// array an unscreened scan would. cols holds the fixed slots followed by
+// one free slot for the candidate.
+func (s *Searcher) screen(p *Problem, sc *evalScratch, cols []*candCol, j, nc, m int) []int {
+	q, e, xs := s.screenQ[:nc], s.screenE[:nc], s.screenX
+	objs := growFloats(&s.objs, nc)
+	if cap(s.order) < nc {
+		s.order = make([]int, nc)
+	}
+	surv := s.order[:0]
+	kk := len(cols)
+	u := s.mthSmallestKey(q, e, m)
+	exact := func(i int) float64 {
+		cols[kk-1] = &s.cands[j][i]
+		s.screenRan++
+		return sc.residualNorm(p, cols, xs[i*kk:(i+1)*kk])
+	}
+	sawNaN := false
+	for i := range q {
+		if q[i]-e[i] > u && !math.IsInf(q[i], 0) && !math.IsNaN(q[i]) {
+			continue
+		}
+		objs[i] = exact(i)
+		sawNaN = sawNaN || math.IsNaN(objs[i])
+		surv = append(surv, i)
+	}
+	if sawNaN && len(surv) < nc {
+		surv = surv[:0]
+		for i := range q {
+			objs[i] = exact(i)
+			surv = append(surv, i)
+		}
+	}
+	return surv
+}
+
+// mthSmallestKey returns the m-th smallest q[i]+e[i] (NaN counted as +Inf)
+// by a bounded max-heap selection over a Searcher-owned buffer: O(nc·log m)
+// and allocation-free, with no full sort.
+func (s *Searcher) mthSmallestKey(q, e []float64, m int) float64 {
+	if cap(s.heap) < m {
+		s.heap = make([]float64, m)
+	}
+	h := s.heap[:0]
+	for i := range q {
+		v := q[i] + e[i]
+		if math.IsNaN(v) {
+			v = math.Inf(1)
+		}
+		if len(h) < m {
+			h = append(h, v)
+			for c := len(h) - 1; c > 0; {
+				par := (c - 1) / 2
+				if h[par] >= h[c] {
+					break
+				}
+				h[par], h[c] = h[c], h[par]
+				c = par
+			}
+			continue
+		}
+		if v >= h[0] {
+			continue
+		}
+		h[0] = v
+		for c := 0; ; {
+			big := c
+			if l := 2*c + 1; l < m && h[l] > h[big] {
+				big = l
+			}
+			if r := 2*c + 2; r < m && h[r] > h[big] {
+				big = r
+			}
+			if big == c {
+				break
+			}
+			h[c], h[big] = h[big], h[c]
+			c = big
+		}
+	}
+	return h[0]
 }

@@ -261,3 +261,69 @@ func TestNNLSPropertySweep(t *testing.T) {
 		checkNNLSSolution(t, a, b, x, "sweep")
 	}
 }
+
+// FuzzCholSolveUnrolled pins the unrolled two- and three-variable Cholesky
+// branches to the general loop bit for bit: for any Gram system and passive
+// set of size 2 or 3 — SPD, singular, pivots on either side of the rejection
+// threshold, raw non-SPD entries, non-finite entries — both must agree on
+// accept/reject and, on accept, on every bit of the solution.
+func FuzzCholSolveUnrolled(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(8), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(2), uint8(2), uint8(1), uint8(1)) // duplicate column
+	f.Add(uint64(5), uint8(4), uint8(9), uint8(2), uint8(0)) // pivot at the threshold
+	f.Add(uint64(9), uint8(5), uint8(3), uint8(3), uint8(1)) // raw entries
+	f.Add(uint64(11), uint8(3), uint8(7), uint8(4), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw, mRaw, mode, pick uint8) {
+		k, m := clampDims(kRaw, mRaw)
+		k++ // at least two variables
+		a, b := fuzzProblem(seed, m, k)
+		g, d := gramOf(a, b)
+		s := seed ^ 0xc401
+		switch mode % 5 {
+		case 1: // exactly dependent: the last column duplicates the first
+			for p := 0; p < k; p++ {
+				g[p*k+k-1], g[(k-1)*k+p] = g[p*k], g[p]
+			}
+			g[(k-1)*k+k-1] = g[0]
+		case 2: // second pivot of the leading pair straddles the threshold
+			l10 := g[k] / math.Sqrt(g[0])
+			g[k+1] = l10*l10 + (fuzzFloat(&s)*4-1)*1e-13*g[k+1]
+		case 3: // raw entries, not a Gram matrix: negative pivots possible
+			for i := range g {
+				g[i] = (fuzzFloat(&s) - 0.3) * 10
+			}
+		case 4: // a non-finite entry
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+			g[int(fuzzMix(&s)%uint64(len(g)))] = bad[fuzzMix(&s)%3]
+		}
+		size := 2 + int(pick%2)
+		if size > k {
+			size = k
+		}
+		// A strictly increasing random passive set, as the solver builds.
+		idx := make([]int, 0, size)
+		for j := 0; j < k && len(idx) < size; j++ {
+			if k-j == size-len(idx) || fuzzMix(&s)%2 == 0 {
+				idx = append(idx, j)
+			}
+		}
+
+		var unrolled, loop NNLSWorkspace
+		unrolled.ensure(k)
+		loop.ensure(k)
+		okU := unrolled.cholSolve(g, d, k, idx)
+		okL := loop.cholSolveLoop(g, d, k, idx)
+		if okU != okL {
+			t.Fatalf("m=%d: unrolled accepted=%v, loop accepted=%v", size, okU, okL)
+		}
+		if !okU {
+			return
+		}
+		for i := range idx {
+			if math.Float64bits(unrolled.z[i]) != math.Float64bits(loop.z[i]) {
+				t.Fatalf("m=%d: z[%d] unrolled %v (%#x) != loop %v (%#x)", size, i,
+					unrolled.z[i], math.Float64bits(unrolled.z[i]), loop.z[i], math.Float64bits(loop.z[i]))
+			}
+		}
+	})
+}

@@ -169,12 +169,17 @@ func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
 // cholSolve solves G[idx,idx] z = d[idx] by a dense Cholesky factorization
 // into the workspace, writing the solution into ws.z[:len(idx)]. It reports
 // false when the submatrix is not (numerically) positive definite.
+//
+// Passive sets of two and three variables — every multi-variable passive
+// set of a three-user composition — take unrolled branches that keep the
+// factor in registers. They replay cholSolveLoop's operations one for one,
+// in the same order, so their results are bit-identical to the loop's
+// (FuzzCholSolveUnrolled pins this, rejected pivots included).
 func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
-	m := len(idx)
-	if m == 0 {
+	switch len(idx) {
+	case 0:
 		return false
-	}
-	if m == 1 {
+	case 1:
 		j := idx[0]
 		gjj := g[j*k+j]
 		if gjj <= 0 {
@@ -182,20 +187,38 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 		}
 		ws.z[0] = d[j] / gjj
 		return true
+	case 2:
+		return ws.cholSolve2(g, d, k, idx[0], idx[1])
+	case 3:
+		return ws.cholSolve3(g, d, k, idx[0], idx[1], idx[2])
 	}
+	return ws.cholSolveLoop(g, d, k, idx)
+}
+
+// cholPivotBad is the pivot test of the factorization: a relative
+// threshold, because a pivot this far below the column's own squared norm
+// means the column is numerically dependent on the earlier passive columns.
+func cholPivotBad(s, gjj float64) bool {
+	return s <= 0 || s <= 1e-13*gjj
+}
+
+// cholSolveLoop is the general-dimension factorization and the reference
+// the unrolled branches replay. Every product is rounded explicitly
+// (float64(...)) before it is subtracted, so no platform fuses the
+// multiply-subtract into an FMA and the branches stay bit-identical to it
+// everywhere.
+func (ws *NNLSWorkspace) cholSolveLoop(g, d []float64, k int, idx []int) bool {
+	m := len(idx)
 	l := ws.chol
 	for a := 0; a < m; a++ {
 		ja := idx[a]
 		for b := 0; b <= a; b++ {
 			s := g[ja*k+idx[b]]
 			for t := 0; t < b; t++ {
-				s -= l[a*m+t] * l[b*m+t]
+				s -= float64(l[a*m+t] * l[b*m+t])
 			}
 			if a == b {
-				// Relative pivot threshold: a pivot this far below the
-				// column's own squared norm means the column is numerically
-				// dependent on the earlier passive columns.
-				if s <= 0 || s <= 1e-13*g[ja*k+ja] {
+				if cholPivotBad(s, g[ja*k+ja]) {
 					return false
 				}
 				l[a*m+a] = math.Sqrt(s)
@@ -208,7 +231,7 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 	for a := 0; a < m; a++ {
 		s := d[idx[a]]
 		for t := 0; t < a; t++ {
-			s -= l[a*m+t] * y[t]
+			s -= float64(l[a*m+t] * y[t])
 		}
 		y[a] = s / l[a*m+a]
 	}
@@ -216,10 +239,71 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 	for a := m - 1; a >= 0; a-- {
 		s := y[a]
 		for t := a + 1; t < m; t++ {
-			s -= l[t*m+a] * z[t]
+			s -= float64(l[t*m+a] * z[t])
 		}
 		z[a] = s / l[a*m+a]
 	}
+	return true
+}
+
+// cholSolve2 is cholSolveLoop unrolled for the passive set {i0, i1}.
+func (ws *NNLSWorkspace) cholSolve2(g, d []float64, k, i0, i1 int) bool {
+	g00 := g[i0*k+i0]
+	if cholPivotBad(g00, g00) {
+		return false
+	}
+	l00 := math.Sqrt(g00)
+	l10 := g[i1*k+i0] / l00
+	g11 := g[i1*k+i1]
+	s11 := g11 - float64(l10*l10)
+	if cholPivotBad(s11, g11) {
+		return false
+	}
+	l11 := math.Sqrt(s11)
+
+	y0 := d[i0] / l00
+	y1 := (d[i1] - float64(l10*y0)) / l11
+
+	z1 := y1 / l11
+	ws.z[1] = z1
+	ws.z[0] = (y0 - float64(l10*z1)) / l00
+	return true
+}
+
+// cholSolve3 is cholSolveLoop unrolled for the passive set {i0, i1, i2}.
+func (ws *NNLSWorkspace) cholSolve3(g, d []float64, k, i0, i1, i2 int) bool {
+	g00 := g[i0*k+i0]
+	if cholPivotBad(g00, g00) {
+		return false
+	}
+	l00 := math.Sqrt(g00)
+	l10 := g[i1*k+i0] / l00
+	g11 := g[i1*k+i1]
+	s11 := g11 - float64(l10*l10)
+	if cholPivotBad(s11, g11) {
+		return false
+	}
+	l11 := math.Sqrt(s11)
+	l20 := g[i2*k+i0] / l00
+	l21 := (g[i2*k+i1] - float64(l20*l10)) / l11
+	g22 := g[i2*k+i2]
+	s22 := g22 - float64(l20*l20)
+	s22 -= float64(l21 * l21)
+	if cholPivotBad(s22, g22) {
+		return false
+	}
+	l22 := math.Sqrt(s22)
+
+	y0 := d[i0] / l00
+	y1 := (d[i1] - float64(l10*y0)) / l11
+	y2 := d[i2] - float64(l20*y0)
+	y2 = (y2 - float64(l21*y1)) / l22
+
+	z2 := y2 / l22
+	z1 := (y1 - float64(l21*z2)) / l11
+	z0 := y0 - float64(l10*z1)
+	z0 = (z0 - float64(l20*z2)) / l00
+	ws.z[0], ws.z[1], ws.z[2] = z0, z1, z2
 	return true
 }
 

@@ -457,7 +457,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			len(o.Readings), s.sensors)
 		return
 	}
-	if o.Present != nil && (len(o.Present) != s.sensors || (o.Age != nil && len(o.Age) != s.sensors)) {
+	// Either mask may be sent without the other; each must match the
+	// vantage on its own, or the stepping goroutine would reject the round
+	// after ingest had already accepted it.
+	if (o.Present != nil && len(o.Present) != s.sensors) || (o.Age != nil && len(o.Age) != s.sensors) {
 		httpError(w, http.StatusBadRequest, "present/age masks must match %d sensors", s.sensors)
 		return
 	}

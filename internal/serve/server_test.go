@@ -332,6 +332,33 @@ func TestServeAPIErrors(t *testing.T) {
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe",
 		Observation{T: 1, Readings: []float64{1, 2, 3}})
 	check("wrong readings length", resp, http.StatusBadRequest)
+	good := make([]float64, srv.Sensors())
+	allPresent := make([]bool, len(good))
+	for i := range allPresent {
+		allPresent[i] = true
+	}
+	for _, tc := range []struct {
+		name string
+		obs  Observation
+	}{
+		{"short present mask", Observation{T: 1, Readings: good, Present: allPresent[1:]}},
+		{"short age with present", Observation{T: 1, Readings: good, Present: allPresent, Age: []int{0}}},
+		{"short age without present", Observation{T: 1, Readings: good, Age: []int{0}}},
+	} {
+		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe", tc.obs)
+		check(tc.name, resp, http.StatusBadRequest)
+	}
+	// Rejected at ingest: nothing reached the stepping goroutine.
+	resp, body := doJSON(t, http.MethodGet, hs.URL+"/v1/tenant/a/estimate", nil)
+	check("estimate after bad masks", resp, http.StatusOK)
+	var est EstimateResponse
+	if err := json.Unmarshal(body, &est); err != nil {
+		t.Fatal(err)
+	}
+	if est.Rounds != 0 || est.Pending != 0 || est.StepError != "" {
+		t.Errorf("bad masks leaked past ingest: rounds %d, pending %d, step error %q",
+			est.Rounds, est.Pending, est.StepError)
+	}
 
 	// Corrupt blob → 400 before the stepping goroutine is ever involved.
 	req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/tenant/a/restore", bytes.NewReader([]byte("garbage")))
@@ -363,7 +390,7 @@ func TestServeAPIErrors(t *testing.T) {
 	check("estimate after delete", resp, http.StatusNotFound)
 
 	// Liveness + metrics endpoints stay up throughout.
-	resp, body := doJSON(t, http.MethodGet, hs.URL+"/healthz", nil)
+	resp, body = doJSON(t, http.MethodGet, hs.URL+"/healthz", nil)
 	check("healthz", resp, http.StatusOK)
 	var hz map[string]any
 	if err := json.Unmarshal(body, &hz); err != nil || hz["ok"] != true {

@@ -77,8 +77,6 @@ type Config struct {
 	// database is a pure function of that key, so caching never changes
 	// tracker output. Nil builds directly, as before.
 	DBCache *fingerprint.Cache
-	// UseRelativeWeights applies fit.RelativeWeights to each observation.
-	UseRelativeWeights bool
 	// UniformWeights disables the importance weighting of §4.D: kept
 	// samples are treated equally in the next prediction phase (the paper's
 	// pre-importance-sampling variant). Exists for the ablation study.
@@ -590,9 +588,6 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 	}
 
 	var weights []float64
-	if tr.cfg.UseRelativeWeights {
-		weights = fit.RelativeWeightsMasked(measured, present)
-	}
 	if anyStale && tr.cfg.StaleAttenuation > 0 {
 		if weights == nil {
 			if cap(tr.weightsBuf) < n {
