@@ -100,21 +100,13 @@ func runLatency(args []string) error {
 		gridsFl = fs.String("shards", "1x1", "comma-separated RxC tile grids (1x1 = the unsharded tracker, byte for byte)")
 		halo    = fs.Float64("halo", 0, "tile halo width shared by every sharded grid")
 		jsonOut = fs.String("json", "", "write a JSON latency report to this file")
-		coarse  = fs.Bool("coarse", false, "shortlist candidates through the coarse-to-fine fingerprint search")
-		coarseK = fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
-		coarseG = fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
-		liars   = fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
-		robust  = fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
 	)
+	tracker := exp.BindTrackerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	robustMode, err := fit.ParseRobustMode(*robust)
+	ts, err := tracker.Settings()
 	if err != nil {
-		return err
-	}
-	advCfg := exp.LiarMix(*liars)
-	if err := advCfg.Validate(); err != nil {
 		return err
 	}
 	workerCounts, err := parseWorkerList(*list)
@@ -166,8 +158,8 @@ func runLatency(args []string) error {
 	// Tamper the precomputed stream once, outside the timed region: the
 	// adversary's cost is the attacker's problem; what the entries measure is
 	// what the *defense* adds to the tracker step.
-	if *liars > 0 {
-		adv, err := sniffer.NewAdversary(advCfg, src.Uint64())
+	if ts.Liars > 0 {
+		adv, err := sniffer.NewAdversary(ts.Adversary, src.Uint64())
 		if err != nil {
 			return err
 		}
@@ -183,19 +175,17 @@ func runLatency(args []string) error {
 	report := latencyReport{
 		Users: *users, TrackN: *trackN, Samples: *samples,
 		Rounds: *rounds, Repeats: *repeats, Seed: *seed, Halo: *halo,
-		Liars:      *liars,
+		Liars:      ts.Liars,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 	}
-	if robustMode != fit.RobustOff {
-		report.Robust = robustMode.String()
+	if ts.Robust.Mode != fit.RobustOff {
+		report.Robust = ts.Robust.Mode.String()
 	}
-	var ccfg fingerprint.CoarseConfig
 	var cache *fingerprint.Cache
-	if *coarse || *coarseK > 0 || *coarseG > 0 {
-		ccfg = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
-		report.CoarseTopK = ccfg.TopK
-		report.CoarseGrid = ccfg.GridRes
+	if ts.Coarse.Enabled {
+		report.CoarseTopK = ts.Coarse.TopK
+		report.CoarseGrid = ts.Coarse.GridRes
 		// Every repeat and every (grid, workers) pair rebuilds identical
 		// fingerprint databases; one shared cache builds each exactly once.
 		cache = fingerprint.NewCache(0)
@@ -222,8 +212,8 @@ func runLatency(args []string) error {
 			for rep := 0; rep < *repeats; rep++ {
 				field, err := sniffer.NewShardedTracker(*users, core.TrackerConfig{
 					N: *trackN, M: 10, VMax: 5, Workers: workers,
-					Search: fit.Options{Robust: fit.RobustConfig{Mode: robustMode}},
-					Coarse: ccfg, DBCache: cache,
+					Search: fit.Options{Robust: ts.Robust},
+					Coarse: ts.Coarse, DBCache: cache,
 					Shards: grid, InitialPositions: starts, Trace: trace,
 				}, *seed+101)
 				if err != nil {

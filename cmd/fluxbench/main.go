@@ -171,17 +171,12 @@ func run(args []string) error {
 		trackN  = fs.Int("trackn", 0, "override the SMC prediction sample count")
 		rounds  = fs.Int("rounds", 0, "override the tracking round count")
 		workers = fs.Int("workers", 0, "worker count for trials, NLS search, and tracker steps (0 = one per CPU, 1 = sequential)")
-		coarse  = fs.Bool("coarse", false, "shortlist tracking candidates through the coarse-to-fine fingerprint search")
-		coarseK = fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
-		coarseG = fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
 		jsonOut = fs.String("json", "", "write a JSON benchmark report to this file")
 		dropout = fs.Float64("dropout", 0, "fraction of sensors that fail permanently (tracking experiments)")
 		loss    = fs.Float64("loss", 0, "per-round probability a report is lost")
 		delayP  = fs.Float64("delay", 0, "per-round probability a report is delayed")
 		delayR  = fs.Int("delayrounds", 0, "rounds a delayed report is late (0 = default 2)")
 		stuck   = fs.Float64("stuck", 0, "fraction of sensors with frozen readings")
-		liars   = fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
-		robust  = fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
 		chart   = fs.Bool("chart", false, "render an ASCII bar chart per table column")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -193,6 +188,7 @@ func run(args []string) error {
 		trOut   = fs.String("trace", "", "write one JSON span per tracker round to this file (JSON lines)")
 		trCap   = fs.Int("tracecap", 0, "trace ring capacity in spans; oldest spans are overwritten (0 = default 4096)")
 	)
+	tracker := exp.BindTrackerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -259,17 +255,13 @@ func run(args []string) error {
 	if err := cfg.Fault.Validate(); err != nil {
 		return err
 	}
-	cfg.Adversary = exp.LiarMix(*liars)
-	if err := cfg.Adversary.Validate(); err != nil {
-		return err
-	}
-	robustMode, err := fit.ParseRobustMode(*robust)
+	ts, err := tracker.Settings()
 	if err != nil {
 		return err
 	}
-	cfg.Robust = fit.RobustConfig{Mode: robustMode}
-	if *coarse || *coarseK > 0 || *coarseG > 0 {
-		cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
+	cfg.Adversary, cfg.Robust = ts.Adversary, ts.Robust
+	if ts.Coarse.Enabled {
+		cfg.Coarse = ts.Coarse
 		// One cache for the whole run: trials of a cell and tiles of a
 		// sharded field share identical (model, bounds, sensors) layouts only
 		// within a trial, but repeated cells re-derive identical worlds from
@@ -317,11 +309,11 @@ func run(args []string) error {
 		CoarseGrid: cfg.Coarse.GridRes,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Halo:       cfg.Shards.Halo,
-		Liars:      *liars,
+		Liars:      ts.Liars,
 		GoVersion:  runtime.Version(),
 	}
-	if robustMode != fit.RobustOff {
-		report.Robust = robustMode.String()
+	if ts.Robust.Mode != fit.RobustOff {
+		report.Robust = ts.Robust.Mode.String()
 	}
 	if *quick {
 		report.Config = "quick"

@@ -25,7 +25,6 @@ import (
 	"fluxtrack/internal/deploy"
 	"fluxtrack/internal/exp"
 	"fluxtrack/internal/fault"
-	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
@@ -55,17 +54,13 @@ func run(args []string) error {
 		dropout = fs.Float64("dropout", 0, "fraction of sniffed sensors that fail permanently")
 		loss    = fs.Float64("loss", 0, "probability each report is lost this round")
 		stuck   = fs.Float64("stuck", 0, "fraction of sniffed sensors with frozen readings")
-		liars   = fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
-		robust  = fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
 		metrics = fs.Bool("metrics", false, "collect work counters (traffic, fault, NLS search) and print the snapshot at exit")
-		coarse  = fs.Bool("coarse", false, "shortlist candidates through the coarse-to-fine fingerprint search")
-		coarseK = fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
-		coarseG = fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
 		shards  = fs.String("shards", "", "also run the tiled tracking demo over a RxC tile grid (internal/shard), e.g. 2x2")
 		halo    = fs.Float64("halo", 0, "tile halo width for -shards: sensors within this margin report to both neighbors")
 		rounds  = fs.Int("rounds", 8, "tracking rounds for the -shards demo")
 		trackN  = fs.Int("trackn", 1000, "SMC prediction samples per user per round in the -shards demo")
 	)
+	tracker := exp.BindTrackerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -111,30 +106,26 @@ func run(args []string) error {
 	if err := faultCfg.Validate(); err != nil {
 		return err
 	}
-	robustMode, err := fit.ParseRobustMode(*robust)
+	ts, err := tracker.Settings()
 	if err != nil {
 		return err
 	}
-	opts := fit.Options{Samples: *samples, TopM: 10, Workers: *workers, Metrics: met,
-		Robust: fit.RobustConfig{Mode: robustMode}}
-	var ccfg fingerprint.CoarseConfig
-	if *coarse || *coarseK > 0 || *coarseG > 0 {
-		ccfg = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
-		db, err := sniffer.NewFingerprintDB(ccfg, *workers, met)
+	opts := fit.Options{Samples: *samples, TopM: 10, Workers: *workers, Metrics: met, Robust: ts.Robust}
+	if ts.Coarse.Enabled {
+		db, err := sniffer.NewFingerprintDB(ts.Coarse, *workers, met)
 		if err != nil {
 			return err
 		}
-		opts.Coarse = &fit.Coarse{DB: db, TopK: ccfg.TopK}
+		opts.Coarse = &fit.Coarse{DB: db, TopK: ts.Coarse.TopK}
 		fmt.Printf("\ncoarse search: %d fingerprint cells (grid %d), shortlist %d of %d candidates per user\n",
-			db.Cells(), db.Res(), ccfg.TopK, *samples)
+			db.Cells(), db.Res(), ts.Coarse.TopK, *samples)
 	}
 	readings, err := sniffer.Observe(userSet, *noise, src)
 	if err != nil {
 		return err
 	}
-	if *liars > 0 {
-		advCfg := exp.LiarMix(*liars)
-		adv, err := sniffer.NewAdversary(advCfg, src.Uint64())
+	if ts.Liars > 0 {
+		adv, err := sniffer.NewAdversary(ts.Adversary, src.Uint64())
 		if err != nil {
 			return err
 		}
@@ -144,7 +135,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("\nbyzantine: %d of %d sniffed sensors compromised (defense: %s)\n",
-			adv.NumCompromised(), len(readings), robustMode)
+			adv.NumCompromised(), len(readings), ts.Robust.Mode)
 	}
 	var res fit.Result
 	if faultCfg.Enabled() {
@@ -196,7 +187,7 @@ func run(args []string) error {
 			return err
 		}
 		grid.Halo = *halo
-		if err := runShardDemo(sc, sniffer, userSet, grid, *rounds, *trackN, *workers, ccfg, met, src); err != nil {
+		if err := runShardDemo(sc, sniffer, userSet, grid, *rounds, *trackN, *workers, ts.Coarse, met, src); err != nil {
 			return err
 		}
 	}

@@ -287,10 +287,6 @@ type TrackerConfig struct {
 	UniformWeights    bool // disable §4.D importance weighting (ablation)
 	ActiveSetLimit    int  // cap on users searched per round (§5.C regime)
 	HeadingPrediction bool // §4.C refinement: dead-reckoned prediction discs
-	// StaleAttenuation controls how strongly delayed reports are discounted
-	// in masked tracking rounds (see smc.Config.StaleAttenuation; zero
-	// takes the default of 0.5, negative disables the discount).
-	StaleAttenuation float64
 	// Coarse, when Enabled, precomputes a fingerprint database over the
 	// sniffer's monitored nodes and shortlists each user's candidates by
 	// coarse cell score before the exact Gram/NNLS ranking runs each round
@@ -302,11 +298,6 @@ type TrackerConfig struct {
 	// the tiles of a sharded field, benchmark repeats); see
 	// fingerprint.Cache. Caching never changes tracker output.
 	DBCache *fingerprint.Cache
-	// IncumbentFitLimit caps how many incumbent users join the exact Gram
-	// fit of the tracker's active-set selection (see
-	// smc.Config.IncumbentFitLimit; zero takes the default of 512, negative
-	// disables the cap). Only meaningful with ActiveSetLimit.
-	IncumbentFitLimit int
 	// Shards splits the field into a Rows×Cols tile grid tracked by
 	// internal/shard: each tile owns its sensors, its fingerprint database,
 	// and an independent tracker, and users migrate between tiles as their
@@ -366,9 +357,7 @@ func (sn *Sniffer) trackerTemplate(numUsers int, cfg TrackerConfig) smc.Config {
 		Search:            cfg.Search,
 		UniformWeights:    cfg.UniformWeights,
 		ActiveSetLimit:    cfg.ActiveSetLimit,
-		IncumbentFitLimit: cfg.IncumbentFitLimit,
 		HeadingPrediction: cfg.HeadingPrediction,
-		StaleAttenuation:  cfg.StaleAttenuation,
 		Coarse:            cfg.Coarse,
 		DBCache:           cfg.DBCache,
 		Workers:           cfg.Workers,

@@ -109,18 +109,57 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Observation is one round's degraded view of the sensor readings.
+// Observation is one observation round as every consumer sees it: the
+// injector's degraded output, the tracker's input, and the JSON body of the
+// serving API's observe request. Present and Age are optional: nil Present
+// means every sensor delivered, nil Age means every report is fresh.
 type Observation struct {
+	// T is the observation time. The injector leaves it zero (rounds are
+	// implicit in its call order); the serving API reads zero or negative
+	// as "the tenant's next round".
+	T float64 `json:"t"`
 	// Readings holds the delivered values, aligned with the true readings;
 	// entries where Present is false are zero and meaningless.
-	Readings []float64
+	Readings []float64 `json:"readings"`
 	// Present marks which sensors delivered a report this round.
-	Present []bool
+	Present []bool `json:"present,omitempty"`
 	// Age is each delivered report's staleness in rounds: 0 means the
 	// report was measured this round, k > 0 means it was measured k rounds
 	// ago and only arrived now (delayed delivery). Meaningless where
 	// Present is false.
-	Age []int
+	Age []int `json:"age,omitempty"`
+}
+
+// Validate checks the round against a vantage of sensors monitored nodes:
+// Readings must hold exactly sensors values, Present and Age must each be
+// nil or of that length, no age may be negative, and every delivered
+// reading must be finite (a reading behind a false Present entry is never
+// looked at). A round with nothing delivered is well-formed; whether it can
+// be fitted is the consumer's call (smc.ErrAllMasked).
+func (o Observation) Validate(sensors int) error {
+	if len(o.Readings) != sensors {
+		return fmt.Errorf("fault: observation has %d readings, want %d", len(o.Readings), sensors)
+	}
+	if o.Present != nil && len(o.Present) != sensors {
+		return fmt.Errorf("fault: present mask length %d, want %d", len(o.Present), sensors)
+	}
+	if o.Age != nil && len(o.Age) != sensors {
+		return fmt.Errorf("fault: age vector length %d, want %d", len(o.Age), sensors)
+	}
+	for i, a := range o.Age {
+		if a < 0 {
+			return fmt.Errorf("fault: sensor %d has negative age %d", i, a)
+		}
+	}
+	for i, v := range o.Readings {
+		if o.Present != nil && !o.Present[i] {
+			continue
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: reading %d is not finite (%v)", i, v)
+		}
+	}
+	return nil
 }
 
 // Delivered returns how many reports are present.

@@ -252,3 +252,34 @@ func TestRoundsCounter(t *testing.T) {
 		t.Fatalf("rounds %d after 3 applies", in.Rounds())
 	}
 }
+
+// TestObservationValidate pins the one round check every consumer runs:
+// lengths, non-negative ages, and finite delivered readings.
+func TestObservationValidate(t *testing.T) {
+	const n = 4
+	good := []float64{1, 2, 3, 4}
+	nan := []float64{1, math.NaN(), 3, 4}
+	masked := []bool{true, false, true, true}
+	cases := []struct {
+		name string
+		o    Observation
+		ok   bool
+	}{
+		{"fresh full round", Observation{Readings: good}, true},
+		{"mask and ages", Observation{Readings: good, Present: masked, Age: []int{0, 0, 2, 1}}, true},
+		{"ages without mask", Observation{Readings: good, Age: []int{0, 3, 0, 0}}, true},
+		{"nothing delivered", Observation{Readings: good, Present: make([]bool, n)}, true},
+		{"NaN behind the mask", Observation{Readings: nan, Present: masked}, true},
+		{"short readings", Observation{Readings: good[:3]}, false},
+		{"short mask", Observation{Readings: good, Present: masked[:3]}, false},
+		{"short ages", Observation{Readings: good, Age: []int{0}}, false},
+		{"negative age", Observation{Readings: good, Age: []int{0, 0, -1, 0}}, false},
+		{"delivered NaN", Observation{Readings: nan}, false},
+		{"delivered Inf", Observation{Readings: []float64{1, 2, math.Inf(-1), 4}, Present: masked}, false},
+	}
+	for _, tc := range cases {
+		if err := tc.o.Validate(n); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fluxtrack/internal/core"
+	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/obs"
@@ -70,16 +71,12 @@ type TenantConfig struct {
 }
 
 // Observation is the JSON body of an observe request: one measurement
-// round. Present/Age express fault-degraded delivery (internal/fault);
-// leaving Present null means every sensor delivered a fresh report.
-type Observation struct {
-	// T is the observation timestamp; zero or negative means "next round"
-	// (the tenant's step count + 1).
-	T        float64   `json:"t"`
-	Readings []float64 `json:"readings"`
-	Present  []bool    `json:"present,omitempty"`
-	Age      []int     `json:"age,omitempty"`
-}
+// round, {"t", "readings", "present", "age"}. Present/Age express
+// fault-degraded delivery and may each be sent without the other; a null
+// Present means every sensor delivered, a null Age means every report is
+// fresh. T zero or negative means "next round" (the tenant's step count +
+// 1). Ingest checks the round with fault.Observation.Validate.
+type Observation = fault.Observation
 
 // UserEstimate is one user's row in an estimate response.
 type UserEstimate struct {
@@ -111,11 +108,8 @@ var tenantIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 // stepping. Observations are enqueued non-blocking — a full queue is the
 // backpressure signal (429) — while control ops wait for space.
 type op struct {
-	t        float64
-	readings []float64
-	present  []bool
-	age      []int
-	ctrl     func()
+	obs  Observation
+	ctrl func()
 }
 
 // tenant is one resident tracked field: a tracker, its bounded ingestion
@@ -316,14 +310,12 @@ func (s *Server) trackerFor(cfg TenantConfig) (core.StepTracker, error) {
 		Trace:          s.trace,
 	}
 	if cfg.Shards != "" {
-		var rows, cols int
-		if n, err := fmt.Sscanf(cfg.Shards, "%dx%d", &rows, &cols); n != 2 || err != nil {
-			return nil, fmt.Errorf("shards %q is not RxC", cfg.Shards)
+		grid, err := shard.ParseGrid(cfg.Shards)
+		if err != nil {
+			return nil, err
 		}
-		if rows < 1 || cols < 1 {
-			return nil, fmt.Errorf("shards %q names an empty grid", cfg.Shards)
-		}
-		tc.Shards = shard.Grid{Rows: rows, Cols: cols, Halo: cfg.Halo}
+		grid.Halo = cfg.Halo
+		tc.Shards = grid
 	}
 	return s.sniffer.NewStepTracker(cfg.Users, tc, cfg.Seed)
 }
@@ -404,24 +396,18 @@ func (s *Server) runTenant(tn *tenant) {
 				o.ctrl()
 				continue
 			}
-			s.stepOne(tn, o)
+			s.stepOne(tn, o.obs)
 		}
 	}
 }
 
-func (s *Server) stepOne(tn *tenant, o op) {
-	t := o.t
+func (s *Server) stepOne(tn *tenant, o Observation) {
+	t := o.T
 	if t <= 0 {
 		t = float64(tn.tracker.Steps() + 1)
 	}
 	start := time.Now()
-	var res smc.StepResult
-	var err error
-	if o.present == nil {
-		res, err = tn.tracker.Step(t, o.readings)
-	} else {
-		res, err = tn.tracker.StepMasked(t, o.readings, o.present, o.age)
-	}
+	res, err := tn.tracker.StepMasked(t, o.Readings, o.Present, o.Age)
 	s.stepMs.Observe(0, float64(time.Since(start).Microseconds())/1000)
 	solves, iters := tn.tracker.WorkTotals()
 	tn.mu.Lock()
@@ -452,16 +438,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad observation: %v", err)
 		return
 	}
-	if len(o.Readings) != s.sensors {
-		httpError(w, http.StatusBadRequest, "observation has %d readings, vantage has %d sensors",
-			len(o.Readings), s.sensors)
-		return
-	}
-	// Either mask may be sent without the other; each must match the
-	// vantage on its own, or the stepping goroutine would reject the round
-	// after ingest had already accepted it.
-	if (o.Present != nil && len(o.Present) != s.sensors) || (o.Age != nil && len(o.Age) != s.sensors) {
-		httpError(w, http.StatusBadRequest, "present/age masks must match %d sensors", s.sensors)
+	// Reject a malformed round here, with the same check the tracker runs,
+	// so the stepping goroutine never fails a round ingest accepted.
+	if err := o.Validate(s.sensors); err != nil {
+		httpError(w, http.StatusBadRequest, "bad observation: %v", err)
 		return
 	}
 	// Non-blocking enqueue: a full queue IS the backpressure signal. The
@@ -471,7 +451,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	tn.pending++
 	tn.mu.Unlock()
 	select {
-	case tn.queue <- op{t: o.T, readings: o.Readings, present: o.Present, age: o.Age}:
+	case tn.queue <- op{obs: o}:
 		writeJSON(w, http.StatusAccepted, map[string]any{"tenant": tn.id, "queued": true})
 	default:
 		tn.mu.Lock()

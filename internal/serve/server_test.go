@@ -325,8 +325,10 @@ func TestServeAPIErrors(t *testing.T) {
 	check("invalid id", resp, http.StatusBadRequest)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 0})
 	check("zero users", resp, http.StatusBadRequest)
-	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: "2by2"})
-	check("bad shards", resp, http.StatusBadRequest)
+	for _, grid := range []string{"2by2", "2x2junk", "1x1e9"} {
+		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: grid})
+		check("bad shards "+grid, resp, http.StatusBadRequest)
+	}
 	resp, _ = doJSON(t, http.MethodGet, hs.URL+"/v1/tenant/nope/estimate", nil)
 	check("unknown tenant", resp, http.StatusNotFound)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe",
@@ -337,6 +339,8 @@ func TestServeAPIErrors(t *testing.T) {
 	for i := range allPresent {
 		allPresent[i] = true
 	}
+	negAge := make([]int, len(good))
+	negAge[len(negAge)-1] = -2
 	for _, tc := range []struct {
 		name string
 		obs  Observation
@@ -344,19 +348,21 @@ func TestServeAPIErrors(t *testing.T) {
 		{"short present mask", Observation{T: 1, Readings: good, Present: allPresent[1:]}},
 		{"short age with present", Observation{T: 1, Readings: good, Present: allPresent, Age: []int{0}}},
 		{"short age without present", Observation{T: 1, Readings: good, Age: []int{0}}},
+		{"negative age", Observation{T: 1, Readings: good, Age: negAge}},
+		{"negative age with present", Observation{T: 1, Readings: good, Present: allPresent, Age: negAge}},
 	} {
 		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe", tc.obs)
 		check(tc.name, resp, http.StatusBadRequest)
 	}
 	// Rejected at ingest: nothing reached the stepping goroutine.
 	resp, body := doJSON(t, http.MethodGet, hs.URL+"/v1/tenant/a/estimate", nil)
-	check("estimate after bad masks", resp, http.StatusOK)
+	check("estimate after bad rounds", resp, http.StatusOK)
 	var est EstimateResponse
 	if err := json.Unmarshal(body, &est); err != nil {
 		t.Fatal(err)
 	}
 	if est.Rounds != 0 || est.Pending != 0 || est.StepError != "" {
-		t.Errorf("bad masks leaked past ingest: rounds %d, pending %d, step error %q",
+		t.Errorf("bad rounds leaked past ingest: rounds %d, pending %d, step error %q",
 			est.Rounds, est.Pending, est.StepError)
 	}
 
@@ -400,6 +406,56 @@ func TestServeAPIErrors(t *testing.T) {
 	check("metrics", resp, http.StatusOK)
 	if !bytes.Contains(body, []byte("serve.rounds.stepped")) {
 		t.Errorf("metrics snapshot missing serve counters: %s", body)
+	}
+}
+
+// TestServeAgeWithoutPresent: report ages posted with a null present mask
+// must reach the tracker. The served estimate has to match a local
+// StepMasked(t, readings, nil, age) bit for bit, and differ from the same
+// readings stepped as all-fresh (so the test would notice dropped ages).
+func TestServeAgeWithoutPresent(t *testing.T) {
+	srv, hs := startServer(t)
+	w := serveWorld(t, srv)
+	cfg := TenantConfig{Users: testUsers, Seed: 5, Samples: 120, TrackM: 5, VMax: 5}
+	createTenant(t, hs.URL, "aged", cfg)
+
+	// Round 2 mixes in round-1 readings on every second sensor, reported
+	// with age 1: delayed flux that the tracker must deflate.
+	mixed := append([]float64(nil), w.clean[1]...)
+	age := make([]int, len(mixed))
+	for i := 0; i < len(mixed); i += 2 {
+		mixed[i], age[i] = w.clean[0][i], 1
+	}
+	observeAll(t, hs.URL, "aged", []Observation{
+		{T: 1, Readings: w.clean[0]},
+		{T: 2, Readings: mixed, Age: age},
+	})
+	got := waitRounds(t, hs.URL, "aged", 2)
+
+	local := func(age []int) []UserEstimate {
+		tr, err := srv.Sniffer().NewStepTracker(testUsers, core.TrackerConfig{N: 120, M: 5, VMax: 5}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Step(1, w.clean[0]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := tr.StepMasked(2, mixed, nil, age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []UserEstimate
+		for j, e := range res.Estimates {
+			out = append(out, UserEstimate{User: j, X: e.Mean.X, Y: e.Mean.Y, Active: e.Active, Stretch: e.Stretch})
+		}
+		return out
+	}
+	want, fresh := local(age), local(nil)
+	if reflect.DeepEqual(want, fresh) {
+		t.Fatal("setup: ages do not change the local estimate")
+	}
+	if !reflect.DeepEqual(got.Users, want) {
+		t.Errorf("served estimates %+v, want the aged local round %+v (all-fresh: %+v)", got.Users, want, fresh)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"strings"
 	"time"
 
+	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
@@ -132,10 +133,10 @@ type Config struct {
 
 	// Tracker is the per-tile tracker template: N, M, VMax, Search, Coarse,
 	// and the rest are copied into every tile's smc.Config. New overrides
-	// Model, SamplePoints, NumUsers, Bounds, and DBCache per tile, rejects a
-	// template with Search.Coarse preset (tiles must not share one
-	// misaligned database), and fills the template's Metrics/Trace from the
-	// Field's when unset. The template's Workers bounds goroutines inside
+	// Model, SamplePoints, NumUsers, Bounds, and DBCache per tile (each tile
+	// builds its own coarse database over its own sensors; smc.New rejects
+	// a preset Search.Coarse) and fills the template's Metrics/Trace from
+	// the Field's when unset. The template's Workers bounds goroutines inside
 	// one tile's step; Config.Workers bounds how many tiles step at once.
 	Tracker smc.Config
 
@@ -221,7 +222,8 @@ type tile struct {
 	seed    uint64
 	tracker *smc.Tracker
 
-	owned    []int // users owned this round, ascending (route-arena backed)
+	owned []int // users owned this round, ascending (route-arena backed)
+	// readings/present/age back the tile's slice of each round (gather).
 	readings []float64
 	present  []bool
 	age      []int
@@ -361,9 +363,6 @@ func New(cfg Config, seed uint64) (*Field, error) {
 	}
 	if cfg.Grid.Halo < 0 || math.IsNaN(cfg.Grid.Halo) || math.IsInf(cfg.Grid.Halo, 0) {
 		return nil, fmt.Errorf("shard: halo %v must be finite and non-negative", cfg.Grid.Halo)
-	}
-	if cfg.Tracker.Search.Coarse != nil {
-		return nil, errors.New("shard: tracker template must not preset Search.Coarse; tiles build their own databases")
 	}
 	if cfg.InitialPositions != nil && len(cfg.InitialPositions) != cfg.NumUsers {
 		return nil, fmt.Errorf("shard: %d initial positions for %d users", len(cfg.InitialPositions), cfg.NumUsers)
@@ -525,7 +524,6 @@ func (f *Field) newTile(i int, cache *fingerprint.Cache, seed uint64) (*tile, er
 		return nil, fmt.Errorf("shard: tile %d tracker: %w", i, err)
 	}
 	tl.tracker = tr
-	tl.readings = make([]float64, len(tl.sensors))
 	return tl, nil
 }
 
@@ -606,15 +604,12 @@ func (f *Field) Step(t float64, measured []float64) (smc.StepResult, error) {
 // user whose new estimate left its tile's ground, in ascending (tile, user)
 // order.
 func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []int) (smc.StepResult, error) {
-	n := len(f.cfg.SamplePoints)
-	if len(measured) != n {
-		return smc.StepResult{}, fmt.Errorf("shard: observation length %d, want %d", len(measured), n)
-	}
-	if present != nil && len(present) != n {
-		return smc.StepResult{}, fmt.Errorf("shard: present mask length %d, want %d", len(present), n)
-	}
-	if age != nil && len(age) != n {
-		return smc.StepResult{}, fmt.Errorf("shard: age vector length %d, want %d", len(age), n)
+	// Validate the whole round before any tile steps: a malformed round is
+	// rejected with every tile untouched, whichever sensor is at fault and
+	// whether or not its tile owns users this round.
+	round := fault.Observation{T: t, Readings: measured, Present: present, Age: age}
+	if err := round.Validate(len(f.cfg.SamplePoints)); err != nil {
+		return smc.StepResult{}, fmt.Errorf("shard: %w", err)
 	}
 	observed := f.met.m != nil || f.cfg.Trace != nil
 	var roundStart time.Time
@@ -639,13 +634,13 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			tl.queueNs = time.Since(roundStart).Nanoseconds()
 			t0 = time.Now()
 		}
-		m, p, a, users := tl.gather(measured, present, age)
+		o := tl.gather(round)
 		var res smc.StepResult
 		var err error
 		if f.cfg.DenseResults {
-			res, err = tl.tracker.StepUsersMasked(t, m, p, a, users)
+			res, err = tl.tracker.StepUsersMasked(o, tl.owned)
 		} else {
-			res, err = tl.tracker.StepUsersMaskedSparse(t, m, p, a, users, tl.estBuf)
+			res, err = tl.tracker.StepUsersMaskedSparse(o, tl.owned, tl.estBuf)
 			if err == nil {
 				tl.estBuf = res.Estimates // reuse the owned-aligned buffer next round
 			}
@@ -828,31 +823,32 @@ func (f *Field) route() {
 	f.lastMean = float64(len(f.owner)) / float64(len(f.tiles))
 }
 
-// gather copies the tile's slice of the global observation into the tile's
-// reusable buffers, returning nil masks when the round carries none.
-func (tl *tile) gather(measured []float64, present []bool, age []int) (m []float64, p []bool, a []int, users []int) {
-	for k, si := range tl.sensors {
-		tl.readings[k] = measured[si]
+// gather copies the tile's slice of the global round into the tile's
+// reusable buffers, leaving a mask nil when the round carries none.
+func (tl *tile) gather(round fault.Observation) fault.Observation {
+	return fault.Observation{
+		T:        round.T,
+		Readings: pick(&tl.readings, round.Readings, tl.sensors),
+		Present:  pick(&tl.present, round.Present, tl.sensors),
+		Age:      pick(&tl.age, round.Age, tl.sensors),
 	}
-	if present != nil {
-		if tl.present == nil {
-			tl.present = make([]bool, len(tl.sensors))
-		}
-		for k, si := range tl.sensors {
-			tl.present[k] = present[si]
-		}
-		p = tl.present
+}
+
+// pick copies src[idx[k]] into (*buf)[k], allocating the buffer on first
+// use, and returns it; a nil src stays nil.
+func pick[T any](buf *[]T, src []T, idx []int) []T {
+	if src == nil {
+		return nil
 	}
-	if age != nil {
-		if tl.age == nil {
-			tl.age = make([]int, len(tl.sensors))
-		}
-		for k, si := range tl.sensors {
-			tl.age[k] = age[si]
-		}
-		a = tl.age
+	b := *buf
+	if b == nil {
+		b = make([]T, len(idx))
+		*buf = b
 	}
-	return tl.readings, p, a, tl.owned
+	for k, i := range idx {
+		b[k] = src[i]
+	}
+	return b
 }
 
 // record flushes the round's coordinator observability: shard.* counters,

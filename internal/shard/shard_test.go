@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -526,5 +527,108 @@ func TestTemplateRejectsPresetCoarse(t *testing.T) {
 	}, 1)
 	if err == nil {
 		t.Fatal("preset Search.Coarse accepted")
+	}
+}
+
+// TestRejectedRoundLeavesFieldUntouched: a malformed round is refused before
+// any tile steps. Whether the bad sensor belongs to a tile that owns users
+// or to one that owns none, and whether the fault is a non-finite delivered
+// reading or a negative age, the Field must error and then continue exactly
+// as a twin that never saw the round: same estimates, same NNLS work.
+func TestRejectedRoundLeavesFieldUntouched(t *testing.T) {
+	// Three slow users, one per tile 0, 1 and 2 of a 2×2 grid; tile 3 (the
+	// upper-right quadrant) owns nobody.
+	traj := []mobility.Trajectory{
+		mobility.Linear{Start: geom.Pt(6, 6), V: geom.Vec{DX: 0.3, DY: 0.2}},
+		mobility.Linear{Start: geom.Pt(22, 7), V: geom.Vec{DX: -0.2, DY: 0.3}},
+		mobility.Linear{Start: geom.Pt(8, 23), V: geom.Vec{DX: 0.2, DY: -0.3}},
+	}
+	w := buildWorld(t, 83, len(traj), 2, traj)
+	newField := func() *shard.Field {
+		f, err := shard.New(shard.Config{
+			Model: w.sc.Model(), SamplePoints: w.points, NumUsers: len(traj),
+			Grid:             shard.Grid{Rows: 2, Cols: 2},
+			Tracker:          smc.Config{N: 150, M: 8},
+			InitialPositions: []geom.Point{traj[0].At(1), traj[1].At(1), traj[2].At(1)},
+			Workers:          1,
+		}, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// onlyIn returns a sensor inside tile i's bounds and no other tile's.
+	onlyIn := func(f *shard.Field, i int) int {
+		for s, p := range w.points {
+			hits := 0
+			for k := 0; k < f.NumTiles(); k++ {
+				if f.Tile(k).Bounds.Contains(p) {
+					hits++
+				}
+			}
+			if hits == 1 && f.Tile(i).Bounds.Contains(p) {
+				return s
+			}
+		}
+		t.Fatalf("no sensor lies in tile %d alone", i)
+		return -1
+	}
+
+	ref := newField()
+	if _, err := ref.Step(1, w.obs[0]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Step(2, w.obs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSolves, wantIters := ref.WorkTotals()
+
+	probe := newField()
+	userTile, emptyTile := onlyIn(probe, 0), onlyIn(probe, 3)
+	nanAt := func(s int) []float64 {
+		bad := append([]float64(nil), w.obs[1]...)
+		bad[s] = math.NaN()
+		return bad
+	}
+	negAge := make([]int, len(w.points))
+	negAge[userTile] = -1
+	cases := []struct {
+		name     string
+		readings []float64
+		age      []int
+	}{
+		{"NaN on an owning tile", nanAt(userTile), nil},
+		{"NaN on a userless tile", nanAt(emptyTile), nil},
+		{"negative age", w.obs[1], negAge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newField()
+			if _, err := f.Step(1, w.obs[0]); err != nil {
+				t.Fatal(err)
+			}
+			for j := range traj {
+				if f.Owner(j) == 3 {
+					t.Fatalf("setup: user %d moved into tile 3", j)
+				}
+			}
+			if _, err := f.StepMasked(2, tc.readings, nil, tc.age); err == nil {
+				t.Fatal("malformed round accepted")
+			}
+			if f.Steps() != 1 {
+				t.Fatalf("rejected round advanced Steps to %d", f.Steps())
+			}
+			got, err := f.Step(2, w.obs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("round after the rejected one diverged from a field that never saw it")
+			}
+			if s, it := f.WorkTotals(); s != wantSolves || it != wantIters {
+				t.Errorf("NNLS work (%d solves, %d iters), want (%d, %d)", s, it, wantSolves, wantIters)
+			}
+		})
 	}
 }

@@ -210,3 +210,21 @@ func TestSelectActiveTieBreaks(t *testing.T) {
 		t.Fatalf("zero-observation fallback = %v, want [0]", sub)
 	}
 }
+
+// TestNewRejectsPresetSearchCoarse: Config.Coarse is the tracker's one route
+// to the prestage; a database smuggled in through Search.Coarse is refused
+// rather than silently honoured.
+func TestNewRejectsPresetSearchCoarse(t *testing.T) {
+	m, pts := testModel(t, 30)
+	db, err := fingerprint.NewDB(m, pts, fingerprint.CoarseConfig{Enabled: true, GridRes: 8}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{
+		Model: m, SamplePoints: pts, NumUsers: 1, N: 50, M: 5,
+		Search: fit.Options{Coarse: &fit.Coarse{DB: db}},
+	}, 1)
+	if err == nil {
+		t.Fatal("preset Search.Coarse accepted")
+	}
+}

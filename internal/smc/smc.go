@@ -15,6 +15,7 @@ import (
 	"sort"
 	"time"
 
+	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/fluxmodel"
@@ -50,10 +51,6 @@ type Config struct {
 	// prediction disc radius is VMax times the per-user elapsed time
 	// (paper: 5 per detection interval).
 	VMax float64
-	// IdleStretchFrac: a user whose fitted stretch factor falls below this
-	// fraction of the round's largest fitted stretch is considered idle
-	// (no data collection this window) and is not updated. Default 0.05.
-	IdleStretchFrac float64
 	// Search tunes the inner candidate-ranking search. Setting
 	// Search.Robust.Mode arms the robust-fitting defense against Byzantine
 	// sensors in every Step/StepMasked round: the round's search runs twice,
@@ -67,8 +64,8 @@ type Config struct {
 	// candidate search shortlists Coarse.TopK candidates per user by
 	// fingerprint-cell score before the exact Gram/NNLS ranking (see
 	// internal/fingerprint and fit.Coarse). TopK at or above N degrades to
-	// the exact search with byte-identical output. Ignored when
-	// Search.Coarse is already set explicitly.
+	// the exact search with byte-identical output. This is the tracker's
+	// only route to the prestage: New rejects a preset Search.Coarse.
 	Coarse fingerprint.CoarseConfig
 	// DBCache, when non-nil, memoizes the fingerprint database build of the
 	// coarse prestage: trackers sharing a cache and asking for the same
@@ -89,18 +86,10 @@ type Config struct {
 	// searches only the users that appear active (stretch above the idle
 	// threshold), filling spare slots with uninitialized users and, when
 	// the incumbent fit explains the observation poorly, the stalest users.
-	// The cap also applies inside an explicit StepUsers subset larger than
-	// the limit — a sharded tile owning thousands of users selects its
+	// The cap also applies inside an explicit StepUsersMasked subset larger
+	// than the limit — a sharded tile owning thousands of users selects its
 	// active set among the owned users the same way.
 	ActiveSetLimit int
-	// IncumbentFitLimit bounds the joint incumbent fit of the active-set
-	// selection: when more than this many initialized users would be
-	// pinned, the selection skips the O(k²) Gram fit and falls back to a
-	// deterministic staleness ordering (uninitialized users first in
-	// ascending index order, then initialized users by ascending
-	// lastUpdate with index tie-breaks). Zero means 512; negative disables
-	// the bound (always run the joint fit, the pre-scale behavior).
-	IncumbentFitLimit int
 	// HeadingPrediction enables the mobility-model refinement the paper
 	// sketches in §4.C: instead of discs centered on the previous samples,
 	// prediction discs are centered on the dead-reckoned position
@@ -108,14 +97,6 @@ type Config struct {
 	// with the disc radius halved — the heading carries the information
 	// the larger blind disc would otherwise have to cover.
 	HeadingPrediction bool
-	// StaleAttenuation tunes how much a delayed report's influence decays
-	// in the masked fit of StepMasked: a report that is a rounds old gets
-	// its objective weight divided by 1 + StaleAttenuation·a, so stale
-	// flux constrains the fit more loosely than fresh flux instead of
-	// being trusted verbatim (the §4.E asynchronous regime under the
-	// delayed-delivery fault of internal/fault). Zero means 0.5; negative
-	// disables the deflation (stale reports weigh like fresh ones).
-	StaleAttenuation float64
 	// Workers bounds the goroutines running one tracker round: the per-user
 	// prediction draws, the incumbent-fit kernel columns of the active-set
 	// selection, the candidate-scoring loops of the inner search, and the
@@ -140,6 +121,22 @@ type Config struct {
 	Trace *obs.Trace
 }
 
+// Fixed round tuning; no caller has needed to vary these.
+const (
+	// idleStretchFrac: a user whose fitted stretch falls below this fraction
+	// of the round's largest is idle this window and is not updated (§4.E).
+	idleStretchFrac = 0.05
+	// incumbentFitLimit: with more initialized users than this, the
+	// active-set selection skips the O(k²) incumbent Gram fit and falls back
+	// to a deterministic staleness order (uninitialized users by index, then
+	// initialized users by ascending lastUpdate, index tie-breaks).
+	incumbentFitLimit = 512
+	// staleAttenuation: a report a rounds old has its fit weight divided by
+	// 1 + staleAttenuation·a, so delayed flux (§4.E, the delayed-delivery
+	// fault of internal/fault) constrains the fit more loosely than fresh.
+	staleAttenuation = 0.5
+)
+
 func (c Config) withDefaults() Config {
 	if c.N <= 0 {
 		c.N = 1000
@@ -149,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VMax <= 0 {
 		c.VMax = 5
-	}
-	if c.IdleStretchFrac <= 0 {
-		c.IdleStretchFrac = 0.05
 	}
 	if c.Search.TopM < c.M {
 		c.Search.TopM = c.M
@@ -168,15 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Search.Metrics == nil {
 		c.Search.Metrics = c.Metrics
-	}
-	if c.StaleAttenuation == 0 {
-		c.StaleAttenuation = 0.5
-	}
-	if c.IncumbentFitLimit == 0 {
-		c.IncumbentFitLimit = 512
-	}
-	if c.StaleAttenuation < 0 {
-		c.StaleAttenuation = 0
 	}
 	if c.Coarse.Enabled {
 		c.Coarse = c.Coarse.WithDefaults()
@@ -357,6 +342,9 @@ func New(cfg Config, seed uint64) (*Tracker, error) {
 	if cfg.M > cfg.N {
 		return nil, fmt.Errorf("smc: M (%d) must not exceed N (%d)", cfg.M, cfg.N)
 	}
+	if cfg.Search.Coarse != nil {
+		return nil, errors.New("smc: Search.Coarse must not be preset; enable the prestage through Config.Coarse")
+	}
 	if cfg.Bounds.Width() <= 0 || cfg.Bounds.Height() <= 0 {
 		cfg.Bounds = cfg.Model.Field()
 	}
@@ -366,7 +354,7 @@ func New(cfg Config, seed uint64) (*Tracker, error) {
 		searcher: fit.NewSearcher(),
 		seed:     seed,
 	}
-	if cfg.Coarse.Enabled && tr.cfg.Search.Coarse == nil {
+	if cfg.Coarse.Enabled {
 		// Precompute the fingerprint database once for the tracker's
 		// lifetime: the sample layout is fixed, so every round's search
 		// shares the same grid signatures. The grid covers Bounds — the
@@ -414,28 +402,36 @@ var ErrAllMasked = errors.New("smc: observation entirely masked")
 // cfg.SamplePoints) and returns the per-user estimates. Observation times
 // must be strictly increasing.
 func (tr *Tracker) Step(t float64, measured []float64) (StepResult, error) {
-	return tr.step(t, measured, nil, nil, nil)
+	return tr.StepMasked(t, measured, nil, nil)
 }
 
-// StepUsers is Step restricted to an explicit user subset: only the listed
-// users join the candidate search and are updated; everyone else keeps
-// their state and reports an idle estimate, exactly as an active-set round
-// treats unselected users. The subset must be strictly ascending and within
-// range. A subset naming every user is identical to Step — including the
-// ActiveSetLimit selection, which only an explicit partial subset bypasses
-// (the caller has already decided who is searched). A sharded field uses
-// this to step one tile's owned users against the tile's observation.
-func (tr *Tracker) StepUsers(t float64, measured []float64, users []int) (StepResult, error) {
-	return tr.step(t, measured, nil, nil, users)
+// StepMasked is Step over a degraded observation: present marks which
+// sensors delivered a report this round (nil means all), and age gives each
+// delivered report's staleness in rounds (nil means all fresh). Masked
+// sensors drop out of the NLS fit entirely and stale reports keep their
+// column with deflated weight (a report a rounds old weighs 1/(1+0.5a)),
+// so the tracker degrades gracefully under sensor failure, report loss,
+// and delayed delivery (internal/fault) instead of fitting garbage. A
+// round with no delivered reports returns ErrAllMasked and leaves the
+// tracker untouched; so does a round failing fault.Observation.Validate,
+// with its error.
+func (tr *Tracker) StepMasked(t float64, measured []float64, present []bool, age []int) (StepResult, error) {
+	return tr.stepAny(fault.Observation{T: t, Readings: measured, Present: present, Age: age}, nil, nil, false)
 }
 
-// StepUsersMasked is StepMasked restricted to an explicit user subset; see
-// StepUsers for the subset contract.
-func (tr *Tracker) StepUsersMasked(t float64, measured []float64, present []bool, age []int, users []int) (StepResult, error) {
-	return tr.step(t, measured, present, age, users)
+// StepUsersMasked steps round o for an explicit user subset: only the
+// listed users join the candidate search and are updated; everyone else
+// keeps their state and reports an idle estimate, exactly as an active-set
+// round treats unselected users. The subset must be strictly ascending and
+// within range. A subset naming every user is identical to StepMasked —
+// including the ActiveSetLimit selection, which only an explicit partial
+// subset bypasses. A sharded field uses this to step one tile's owned
+// users against the tile's slice of the round.
+func (tr *Tracker) StepUsersMasked(o fault.Observation, users []int) (StepResult, error) {
+	return tr.stepAny(o, users, nil, false)
 }
 
-// StepUsersSparse is StepUsers with sparse output: the returned
+// StepUsersMaskedSparse is StepUsersMasked with sparse output: the returned
 // Estimates[i] belongs to users[i] rather than occupying a dense
 // NumUsers-long array, so a caller responsible for a small slice of a huge
 // user population — a tile of a sharded field — pays O(len(users)) per
@@ -444,38 +440,9 @@ func (tr *Tracker) StepUsersMasked(t float64, measured []float64, present []bool
 // result); pass the previous round's buffer back to keep steady-state
 // stepping allocation-flat. The estimates themselves still carry freshly
 // copied Samples/Weights, so retaining an Estimate across rounds stays
-// safe. Every user in the subset is searched and reported under the same
-// semantics as StepUsers, including the ActiveSetLimit selection within the
-// subset when it is larger than the limit.
-func (tr *Tracker) StepUsersSparse(t float64, measured []float64, users []int, dst []Estimate) (StepResult, error) {
-	return tr.stepAny(t, measured, nil, nil, users, dst, true)
-}
-
-// StepUsersMaskedSparse is StepUsersMasked with the sparse output contract
-// of StepUsersSparse.
-func (tr *Tracker) StepUsersMaskedSparse(t float64, measured []float64, present []bool, age []int, users []int, dst []Estimate) (StepResult, error) {
-	return tr.stepAny(t, measured, present, age, users, dst, true)
-}
-
-// StepMasked is Step over a degraded observation: present marks which
-// sensors delivered a report this round (nil means all), and age gives each
-// delivered report's staleness in rounds (nil means all fresh; aligned with
-// measured where non-nil). Masked sensors drop out of the NLS fit entirely
-// — their columns never enter the objective — and stale reports keep their
-// column but with deflated weight (see Config.StaleAttenuation), so the
-// tracker degrades gracefully under sensor failure, report loss, and
-// delayed delivery (internal/fault) instead of fitting garbage. A round
-// with no delivered reports returns ErrAllMasked and leaves the tracker
-// untouched; a delivered non-finite reading is rejected the same way a
-// malformed observation length is.
-func (tr *Tracker) StepMasked(t float64, measured []float64, present []bool, age []int) (StepResult, error) {
-	return tr.step(t, measured, present, age, nil)
-}
-
-// step is the dense-output round entry behind Step, StepMasked, StepUsers,
-// and StepUsersMasked.
-func (tr *Tracker) step(t float64, measured []float64, present []bool, age []int, users []int) (StepResult, error) {
-	return tr.stepAny(t, measured, present, age, users, nil, false)
+// safe.
+func (tr *Tracker) StepUsersMaskedSparse(o fault.Observation, users []int, dst []Estimate) (StepResult, error) {
+	return tr.stepAny(o, users, dst, true)
 }
 
 // stepAny is the single round implementation behind every Step variant.
@@ -485,7 +452,7 @@ func (tr *Tracker) step(t float64, measured []float64, present []bool, age []int
 // With sparse set, Estimates aligns with users (reusing sparseDst);
 // otherwise it is dense over NumUsers. The tracker borrows the users slice
 // only for the duration of the call.
-func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []int, users []int, sparseDst []Estimate, sparse bool) (StepResult, error) {
+func (tr *Tracker) stepAny(o fault.Observation, users []int, sparseDst []Estimate, sparse bool) (StepResult, error) {
 	// Observation is write-only: the span and counters below never feed
 	// back into the round, so enabling them cannot perturb tracker output.
 	observed := tr.met.m != nil || tr.cfg.Trace != nil
@@ -515,30 +482,20 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 		if len(users) == tr.cfg.NumUsers {
 			// Strictly ascending and in range with NumUsers entries is the
 			// identity: take the full-round path, active-set selection
-			// included, so a total subset is byte-identical to Step. (In
-			// sparse mode the output alignment is the identity too, so the
-			// estimates match the dense round entry for entry.)
+			// included, so a total subset is byte-identical to StepMasked.
+			// (In sparse mode the output alignment is the identity too, so
+			// the estimates match the dense round entry for entry.)
 			users = nil
 		}
 	}
 	n := len(tr.cfg.SamplePoints)
-	if len(measured) != n {
-		return StepResult{}, fmt.Errorf("smc: observation length %d, want %d", len(measured), n)
+	if err := o.Validate(n); err != nil {
+		return StepResult{}, fmt.Errorf("smc: %w", err)
 	}
-	if present != nil && len(present) != n {
-		return StepResult{}, fmt.Errorf("smc: present mask length %d, want %d", len(present), n)
-	}
-	if age != nil && len(age) != n {
-		return StepResult{}, fmt.Errorf("smc: age vector length %d, want %d", len(age), n)
-	}
+	t, measured, present, age := o.T, o.Readings, o.Present, o.Age
 	delivered := n
 	if present != nil {
-		delivered = 0
-		for _, p := range present {
-			if p {
-				delivered++
-			}
-		}
+		delivered = o.Delivered()
 		if delivered == 0 {
 			tr.met.skipped.Inc(tr.met.shard)
 			return StepResult{}, fmt.Errorf("smc: round at t=%v: %w", t, ErrAllMasked)
@@ -548,23 +505,9 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 		}
 	}
 	staleCount := 0
-	if age != nil {
-		for i, a := range age {
-			if a > 0 && (present == nil || present[i]) {
-				staleCount++
-			}
-		}
-		if staleCount == 0 {
-			age = nil
-		}
-	}
-	anyStale := staleCount > 0
-	for i, v := range measured {
-		if present != nil && !present[i] {
-			continue
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return StepResult{}, fmt.Errorf("smc: reading %d is not finite (%v)", i, v)
+	for i, a := range age {
+		if a > 0 && (present == nil || present[i]) {
+			staleCount++
 		}
 	}
 	var span obs.Span
@@ -588,19 +531,15 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 	}
 
 	var weights []float64
-	if anyStale && tr.cfg.StaleAttenuation > 0 {
-		if weights == nil {
-			if cap(tr.weightsBuf) < n {
-				tr.weightsBuf = make([]float64, n)
-			}
-			weights = tr.weightsBuf[:n]
-			for i := range weights {
-				weights[i] = 1
-			}
+	if staleCount > 0 {
+		if cap(tr.weightsBuf) < n {
+			tr.weightsBuf = make([]float64, n)
 		}
+		weights = tr.weightsBuf[:n]
 		for i, a := range age {
+			weights[i] = 1
 			if a > 0 {
-				weights[i] /= 1 + tr.cfg.StaleAttenuation*float64(a)
+				weights[i] /= 1 + staleAttenuation*float64(a)
 			}
 		}
 	}
@@ -720,7 +659,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 		return true
 	}
 
-	if fl := tr.cfg.IncumbentFitLimit; fl > 0 && len(initialized) > fl {
+	if len(initialized) > incumbentFitLimit {
 		// Too many pinned users for the joint O(k²) Gram fit to pay off:
 		// fall back to a deterministic ordering that needs no fit at all —
 		// bootstrap the uninitialized first (ascending index), then refresh
@@ -788,7 +727,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 		return byStretch[a].user < byStretch[b].user
 	})
 	for _, us := range byStretch {
-		if maxStretch > 0 && us.c >= tr.cfg.IdleStretchFrac*maxStretch {
+		if maxStretch > 0 && us.c >= idleStretchFrac*maxStretch {
 			add(us.user)
 		}
 	}
@@ -944,7 +883,7 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 			return nil
 		}
 		stretch := best.Stretches[i]
-		active := maxStretch > 0 && stretch >= tr.cfg.IdleStretchFrac*maxStretch
+		active := maxStretch > 0 && stretch >= idleStretchFrac*maxStretch
 		if active {
 			tr.update(j, t, res.PerUser[i], origins[i])
 		}

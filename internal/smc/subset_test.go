@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fluxtrack/internal/fault"
 	"fluxtrack/internal/geom"
 )
 
@@ -34,6 +35,11 @@ func subsetWorld(t *testing.T, cfg Config) (*Tracker, *Tracker, [][]float64) {
 	return a, b, stream
 }
 
+// fullRound wraps fully delivered, fresh readings as the round at time t.
+func fullRound(t float64, readings []float64) fault.Observation {
+	return fault.Observation{T: t, Readings: readings}
+}
+
 // TestStepUsersFullSubsetIsStep: a subset naming every user must take the
 // full-round path, byte for byte — with and without the active-set cap.
 func TestStepUsersFullSubsetIsStep(t *testing.T) {
@@ -45,7 +51,7 @@ func TestStepUsersFullSubsetIsStep(t *testing.T) {
 		for r, o := range stream {
 			tm := float64(r + 1)
 			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsers(tm, o, []int{0, 1, 2})
+			got, err2 := b.StepUsersMasked(fullRound(tm, o), []int{0, 1, 2})
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -68,7 +74,7 @@ func TestStepUsersPartialSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.StepUsers(2, stream[1], []int{0, 1})
+	res, err := a.StepUsersMasked(fullRound(2, stream[1]), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestStepUsersPartialSubset(t *testing.T) {
 	}
 	// Subset contract violations.
 	for _, bad := range [][]int{{}, {1, 0}, {0, 0}, {-1}, {0, 7}} {
-		if _, err := a.StepUsers(3, stream[2], bad); err == nil {
+		if _, err := a.StepUsersMasked(fullRound(3, stream[2]), bad); err == nil {
 			t.Errorf("subset %v accepted", bad)
 		}
 	}
@@ -104,8 +110,8 @@ func TestStepUsersSparseMatchesDense(t *testing.T) {
 		var buf []Estimate
 		for r, o := range stream {
 			tm := float64(r + 1)
-			want, err1 := a.StepUsers(tm, o, subset)
-			got, err2 := b.StepUsersSparse(tm, o, subset, buf)
+			want, err1 := a.StepUsersMasked(fullRound(tm, o), subset)
+			got, err2 := b.StepUsersMaskedSparse(fullRound(tm, o), subset, buf)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -137,7 +143,7 @@ func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
 		for r, o := range stream {
 			tm := float64(r + 1)
 			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsersSparse(tm, o, []int{0, 1, 2}, nil)
+			got, err2 := b.StepUsersMaskedSparse(fullRound(tm, o), []int{0, 1, 2}, nil)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -156,7 +162,7 @@ func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
 func TestActiveSetWithinExplicitSubset(t *testing.T) {
 	a, _, stream := subsetWorld(t, Config{N: 100, M: 5, ActiveSetLimit: 2})
 	subset := []int{0, 1, 2}
-	res, err := a.StepUsers(1, stream[0], subset)
+	res, err := a.StepUsersMasked(fullRound(1, stream[0]), subset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +225,8 @@ func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 		}
 	}
 	// The moved trackers must keep producing identical rounds.
-	r1, err1 := b1.StepUsers(3, stream[2], []int{1})
-	r2, err2 := b2.StepUsers(3, stream[2], []int{1})
+	r1, err1 := b1.StepUsersMasked(fullRound(3, stream[2]), []int{1})
+	r2, err2 := b2.StepUsersMasked(fullRound(3, stream[2]), []int{1})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
