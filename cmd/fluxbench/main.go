@@ -58,13 +58,12 @@
 // Scale sweeps (the 90/10 hot-corner regime; see DESIGN.md §6.7):
 //
 //	fluxbench shardbench -users 1000,20000 -grids 8x8 -skew 0.9 -activeset 16
-//	fluxbench shardbench -users 20000 -grids 8x8 -skew 0.9 -activeset 16 -naive
+//	fluxbench shardbench -users 1000 -grids 8x8 -skew 0.9
 //	fluxbench shardbench -users 5000 -grids 4x4 -capacity 500 -metrics
 //
-// -naive replays the same world through the pre-scale baseline (static
-// contiguous tile scheduling, dense per-tile result arrays); the users/sec
-// ratio against the default LPT + sparse path is the scale-out speedup.
-// -capacity bounds per-tile admission (spills stay deterministic), and
+// -activeset caps how many users each tile searches per round; the
+// users/sec ratio against the same command without it (every owned user
+// searched) is the scale-out speedup. -capacity bounds per-tile admission (spills stay deterministic), and
 // -metrics prints the shard.* instrument snapshot, including per-tile
 // gauges, at exit. Entries report p50/p95 step latency, max/mean tile-load
 // imbalance, and retained bytes/user.

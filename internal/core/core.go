@@ -305,18 +305,10 @@ type TrackerConfig struct {
 	// tracker. Only NewStepTracker and NewShardedTracker honor it; NewTracker
 	// always builds the plain tracker.
 	Shards shard.Grid
-	// Sched selects the sharded coordinator's tile-to-worker scheduling
-	// policy (cost-weighted LPT by default; see shard.Config.Sched). Output
-	// never depends on it.
-	Sched shard.Scheduler
 	// TileCapacity caps users per tile in a sharded tracker, with
 	// deterministic admission redirect and spill accounting (see
 	// shard.Config.TileCapacity). 0 = unlimited.
 	TileCapacity int
-	// DenseResults restores the sharded coordinator's legacy dense per-tile
-	// result arrays — the differential-testing and benchmarking baseline
-	// (see shard.Config.DenseResults). Output is byte-identical either way.
-	DenseResults bool
 	// PerTileMetrics registers shard.tile.NNN.* instruments per tile on top
 	// of the aggregated shard.* set (see shard.Config.PerTileMetrics).
 	PerTileMetrics bool
@@ -404,9 +396,7 @@ func (sn *Sniffer) NewShardedTracker(numUsers int, cfg TrackerConfig, seed uint6
 		Tracker:          tmpl,
 		InitialPositions: cfg.InitialPositions,
 		Workers:          cfg.Workers,
-		Sched:            cfg.Sched,
 		TileCapacity:     cfg.TileCapacity,
-		DenseResults:     cfg.DenseResults,
 		PerTileMetrics:   cfg.PerTileMetrics,
 		Metrics:          cfg.Metrics,
 		Trace:            cfg.Trace,

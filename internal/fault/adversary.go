@@ -299,16 +299,6 @@ func (a *Adversary) Behaviors() []Behavior {
 	return append([]Behavior(nil), a.behavior...)
 }
 
-// Compromised returns the per-sensor liar mask: true for every sensor whose
-// behavior is not Honest.
-func (a *Adversary) Compromised() []bool {
-	out := make([]bool, a.n)
-	for i, b := range a.behavior {
-		out[i] = b != Honest
-	}
-	return out
-}
-
 // NumCompromised returns how many sensors are compromised.
 func (a *Adversary) NumCompromised() int {
 	k := 0

@@ -149,18 +149,6 @@ type Config struct {
 	// 1 = serial). Output is byte-identical at any value.
 	Workers int
 
-	// Sched selects how tiles are assigned to the round's workers. The
-	// default, SchedLPT, weighs each tile by a deterministic cost estimate
-	// (its owned-user count plus the NNLS work its tracker burned last
-	// round) and packs tiles onto workers longest-processing-time first, so
-	// one hot tile under a skewed user distribution no longer serializes
-	// the whole round behind a contiguous shard. SchedStatic keeps the
-	// plain contiguous split (the pre-scale behavior, and the baseline the
-	// scheduler benchmark compares against). Scheduling never affects
-	// output — tiles write index-disjoint state and merge serially — so
-	// both schedulers are byte-identical; they differ only in wall clock.
-	Sched Scheduler
-
 	// TileCapacity caps how many users one tile may own (0 = unlimited).
 	// When a migration would overflow the destination, the user is
 	// admitted instead by the first tile — in the destination's
@@ -171,13 +159,6 @@ type Config struct {
 	// applies the same admission. NumUsers must not exceed
 	// TileCapacity×tiles.
 	TileCapacity int
-
-	// DenseResults restores the legacy per-tile result shape: every tile
-	// allocates a NumUsers-long estimate array per round instead of the
-	// sparse owned-aligned buffer. Output is byte-identical either way;
-	// the flag exists as the differential-testing reference and the
-	// honest baseline for the scale benchmark.
-	DenseResults bool
 
 	// PerTileMetrics registers per-tile instruments on top of the
 	// aggregated shard.* set: shard.tile.NNN.users (owned-user count per
@@ -198,18 +179,6 @@ type Config struct {
 	// template enables the coarse prestage.
 	Cache *fingerprint.Cache
 }
-
-// Scheduler selects the tile-to-worker assignment policy of a round.
-type Scheduler int
-
-const (
-	// SchedLPT (the default) schedules tiles longest-processing-time first
-	// by deterministic per-tile cost estimates; see Config.Sched.
-	SchedLPT Scheduler = iota
-	// SchedStatic splits tiles into contiguous index ranges, one per
-	// worker — the pre-scale behavior.
-	SchedStatic
-)
 
 // tile is one shard: its ground, sensors, and tracker, plus the per-round
 // scratch the coordinator reuses.
@@ -238,9 +207,8 @@ type tile struct {
 	// tile's next cost estimate. Both are deterministic work counts.
 	prevSolves, prevIters uint64
 
-	// Per-round results, written by this tile's worker only. In sparse
-	// mode (the default) res.Estimates[i] belongs to owned[i]; with
-	// Config.DenseResults it is the legacy dense NumUsers array.
+	// Per-round results, written by this tile's worker only:
+	// res.Estimates[i] belongs to owned[i].
 	res     smc.StepResult
 	err     error
 	stepped bool
@@ -250,15 +218,6 @@ type tile struct {
 	// Per-tile instruments, bound only when Config.PerTileMetrics is set.
 	usersGauge *obs.Counter
 	stepHist   *obs.Histogram
-}
-
-// estOf returns owned[k]'s estimate from the tile's last result,
-// independent of the result shape (sparse owned-aligned vs legacy dense).
-func (tl *tile) estOf(k int, dense bool) smc.Estimate {
-	if dense {
-		return tl.res.Estimates[tl.owned[k]]
-	}
-	return tl.res.Estimates[k]
 }
 
 // TileInfo is the read-only description of one tile.
@@ -330,7 +289,7 @@ type Field struct {
 	load       []int // users currently owned per tile (capacity accounting)
 
 	// LPT scheduling state: per-tile cost estimates and the reusable
-	// worker plan (see Config.Sched).
+	// worker plan (see StepMasked).
 	costs []float64
 	plan  [][]int
 
@@ -619,12 +578,22 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 
 	f.route()
 
-	// Fan the tiles out under the configured scheduler. Each worker touches
-	// only its tile's state, so the round is race-free by construction;
-	// determinism comes from the serial merge below, not from scheduling —
-	// the LPT plan only decides which worker runs a tile, never what the
-	// tile computes.
-	stepTile := func(w, i int) error {
+	// Fan the tiles out longest-processing-time first: weigh each tile by
+	// its owned-user count plus the NNLS work it burned last round and pack
+	// the tiles onto workers heaviest first, so one hot tile under a skewed
+	// user distribution does not serialize the round behind a contiguous
+	// shard. Every cost input is a deterministic work counter, so the plan
+	// is a pure function of the run. Each worker touches only its tile's
+	// state, so the round is race-free by construction; determinism comes
+	// from the serial merge below, not from scheduling — the plan only
+	// decides which worker runs a tile, never what the tile computes.
+	for i, tl := range f.tiles {
+		f.costs[i] = float64(1 + len(tl.owned))
+		solves, iters := tl.tracker.WorkTotals()
+		f.costs[i] += float64(solves - tl.prevSolves + (iters-tl.prevIters)/4)
+	}
+	f.plan = par.LPTAssign(f.costs, f.cfg.Workers, f.plan)
+	_ = par.ForPlan(f.plan, func(_, i int) error {
 		tl := f.tiles[i]
 		if len(tl.owned) == 0 {
 			return nil
@@ -634,17 +603,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			tl.queueNs = time.Since(roundStart).Nanoseconds()
 			t0 = time.Now()
 		}
-		o := tl.gather(round)
-		var res smc.StepResult
-		var err error
-		if f.cfg.DenseResults {
-			res, err = tl.tracker.StepUsersMasked(o, tl.owned)
-		} else {
-			res, err = tl.tracker.StepUsersMaskedSparse(o, tl.owned, tl.estBuf)
-			if err == nil {
-				tl.estBuf = res.Estimates // reuse the owned-aligned buffer next round
-			}
-		}
+		res, err := tl.tracker.StepUsersMaskedSparse(tl.gather(round), tl.owned, tl.estBuf)
 		if observed {
 			tl.wallNs = time.Since(t0).Nanoseconds()
 		}
@@ -652,25 +611,11 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			tl.err = err
 			return nil
 		}
+		tl.estBuf = res.Estimates // reuse the owned-aligned buffer next round
 		tl.res = res
 		tl.stepped = true
 		return nil
-	}
-	if f.cfg.Sched == SchedStatic {
-		_ = par.For(len(f.tiles), f.cfg.Workers, stepTile)
-	} else {
-		// Cost-weighted LPT: weigh each tile by its owned-user count plus
-		// the NNLS work it burned last round. Every input is a
-		// deterministic work counter, so the plan — like the output — is a
-		// pure function of the run, reproducible at any worker count.
-		for i, tl := range f.tiles {
-			f.costs[i] = float64(1 + len(tl.owned))
-			solves, iters := tl.tracker.WorkTotals()
-			f.costs[i] += float64(solves - tl.prevSolves + (iters-tl.prevIters)/4)
-		}
-		f.plan = par.LPTAssign(f.costs, f.cfg.Workers, f.plan)
-		_ = par.ForPlan(f.plan, stepTile)
-	}
+	})
 	for _, tl := range f.tiles {
 		if tl.stepped {
 			tl.prevSolves, tl.prevIters = tl.tracker.WorkTotals()
@@ -704,7 +649,6 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 	}
 
 	// Serial merge in ascending tile order.
-	dense := f.cfg.DenseResults
 	out := smc.StepResult{Time: t, Estimates: make([]smc.Estimate, f.cfg.NumUsers)}
 	for _, tl := range f.tiles {
 		if !tl.stepped {
@@ -712,7 +656,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 		}
 		out.Objective += tl.res.Objective
 		for k, j := range tl.owned {
-			f.lastEst[j] = tl.estOf(k, dense)
+			f.lastEst[j] = tl.res.Estimates[k]
 		}
 	}
 	for j := range out.Estimates {
@@ -745,7 +689,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			continue
 		}
 		for k, j := range tl.owned {
-			est := tl.estOf(k, dense)
+			est := tl.res.Estimates[k]
 			if len(est.Samples) == 0 { // uninitialized: nothing to move
 				continue
 			}

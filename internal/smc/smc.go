@@ -86,9 +86,9 @@ type Config struct {
 	// searches only the users that appear active (stretch above the idle
 	// threshold), filling spare slots with uninitialized users and, when
 	// the incumbent fit explains the observation poorly, the stalest users.
-	// The cap also applies inside an explicit StepUsersMasked subset larger
-	// than the limit — a sharded tile owning thousands of users selects its
-	// active set among the owned users the same way.
+	// The cap also applies inside an explicit StepUsersMaskedSparse subset
+	// larger than the limit — a sharded tile owning thousands of users
+	// selects its active set among the owned users the same way.
 	ActiveSetLimit int
 	// HeadingPrediction enables the mobility-model refinement the paper
 	// sketches in §4.C: instead of discs centered on the previous samples,
@@ -416,43 +416,42 @@ func (tr *Tracker) Step(t float64, measured []float64) (StepResult, error) {
 // tracker untouched; so does a round failing fault.Observation.Validate,
 // with its error.
 func (tr *Tracker) StepMasked(t float64, measured []float64, present []bool, age []int) (StepResult, error) {
-	return tr.stepAny(fault.Observation{T: t, Readings: measured, Present: present, Age: age}, nil, nil, false)
+	return tr.stepAny(fault.Observation{T: t, Readings: measured, Present: present, Age: age}, nil, nil)
 }
 
-// StepUsersMasked steps round o for an explicit user subset: only the
+// StepUsersMaskedSparse steps round o for an explicit user subset: only the
 // listed users join the candidate search and are updated; everyone else
-// keeps their state and reports an idle estimate, exactly as an active-set
-// round treats unselected users. The subset must be strictly ascending and
-// within range. A subset naming every user is identical to StepMasked —
-// including the ActiveSetLimit selection, which only an explicit partial
-// subset bypasses. A sharded field uses this to step one tile's owned
-// users against the tile's slice of the round.
-func (tr *Tracker) StepUsersMasked(o fault.Observation, users []int) (StepResult, error) {
-	return tr.stepAny(o, users, nil, false)
-}
-
-// StepUsersMaskedSparse is StepUsersMasked with sparse output: the returned
-// Estimates[i] belongs to users[i] rather than occupying a dense
-// NumUsers-long array, so a caller responsible for a small slice of a huge
-// user population — a tile of a sharded field — pays O(len(users)) per
-// round instead of O(NumUsers). dst, when non-nil, is reused as the
-// estimate buffer (its backing array is overwritten and returned inside the
-// result); pass the previous round's buffer back to keep steady-state
-// stepping allocation-flat. The estimates themselves still carry freshly
-// copied Samples/Weights, so retaining an Estimate across rounds stays
-// safe.
+// keeps their state, exactly as an active-set round treats unselected
+// users. The subset must be non-empty, strictly ascending and within
+// range. A subset naming every user runs the StepMasked round — including
+// the ActiveSetLimit selection, which only an explicit partial subset
+// bypasses. A sharded field uses this to step one tile's owned users
+// against the tile's slice of the round.
+//
+// The output is sparse: the returned Estimates[i] belongs to users[i]
+// rather than occupying a dense NumUsers-long array, so a caller
+// responsible for a small slice of a huge user population — a tile of a
+// sharded field — pays O(len(users)) per round instead of O(NumUsers). dst,
+// when non-nil, is reused as the estimate buffer (its backing array is
+// overwritten and returned inside the result); pass the previous round's
+// buffer back to keep steady-state stepping allocation-flat. The estimates
+// themselves still carry freshly copied Samples/Weights, so retaining an
+// Estimate across rounds stays safe.
 func (tr *Tracker) StepUsersMaskedSparse(o fault.Observation, users []int, dst []Estimate) (StepResult, error) {
-	return tr.stepAny(o, users, dst, true)
+	if users == nil {
+		return StepResult{}, errors.New("smc: sparse step requires a user subset")
+	}
+	return tr.stepAny(o, users, dst)
 }
 
 // stepAny is the single round implementation behind every Step variant.
 // users nil (or naming every user) runs the full round with active-set
 // selection; an explicit subset larger than ActiveSetLimit runs the same
 // selection restricted to the subset, and a smaller one is taken verbatim.
-// With sparse set, Estimates aligns with users (reusing sparseDst);
-// otherwise it is dense over NumUsers. The tracker borrows the users slice
-// only for the duration of the call.
-func (tr *Tracker) stepAny(o fault.Observation, users []int, sparseDst []Estimate, sparse bool) (StepResult, error) {
+// With users nil, Estimates is dense over NumUsers; otherwise it aligns
+// with users (reusing sparseDst). The tracker borrows the users slice only
+// for the duration of the call.
+func (tr *Tracker) stepAny(o fault.Observation, users []int, sparseDst []Estimate) (StepResult, error) {
 	// Observation is write-only: the span and counters below never feed
 	// back into the round, so enabling them cannot perturb tracker output.
 	observed := tr.met.m != nil || tr.cfg.Trace != nil
@@ -460,10 +459,7 @@ func (tr *Tracker) stepAny(o fault.Observation, users []int, sparseDst []Estimat
 	if observed {
 		t0 = time.Now()
 	}
-	if sparse && users == nil {
-		return StepResult{}, errors.New("smc: sparse step requires a user subset")
-	}
-	var report []int // sparse output alignment; nil = dense over NumUsers
+	report := users // output alignment; nil = dense over NumUsers
 	if users != nil {
 		prev := -1
 		for _, j := range users {
@@ -476,15 +472,12 @@ func (tr *Tracker) stepAny(o fault.Observation, users []int, sparseDst []Estimat
 		if len(users) == 0 {
 			return StepResult{}, errors.New("smc: empty user subset")
 		}
-		if sparse {
-			report = users
-		}
 		if len(users) == tr.cfg.NumUsers {
 			// Strictly ascending and in range with NumUsers entries is the
 			// identity: take the full-round path, active-set selection
-			// included, so a total subset is byte-identical to StepMasked.
-			// (In sparse mode the output alignment is the identity too, so
-			// the estimates match the dense round entry for entry.)
+			// included, so a total subset is byte-identical to StepMasked
+			// (the output alignment is the identity too, so the estimates
+			// match the dense round entry for entry).
 			users = nil
 		}
 	}
@@ -1059,6 +1052,11 @@ func (tr *Tracker) ExportUser(j int) (UserSnapshot, error) {
 	if u == nil {
 		return UserSnapshot{}, nil // never touched: uninitialized
 	}
+	return u.snapshot(), nil
+}
+
+// snapshot deep-copies the user's portable state.
+func (u *userState) snapshot() UserSnapshot {
 	return UserSnapshot{
 		Samples:     append([]geom.Point(nil), u.samples...),
 		Weights:     append([]float64(nil), u.weights...),
@@ -1068,7 +1066,7 @@ func (tr *Tracker) ExportUser(j int) (UserSnapshot, error) {
 		HasVelocity: u.hasVelocity,
 		PrevMean:    u.prevMean,
 		HasPrevMean: u.hasPrevMean,
-	}, nil
+	}
 }
 
 // ImportUser replaces user j's state with a deep copy of the snapshot. An

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fluxtrack/internal/geom"
 	"fluxtrack/internal/rng"
 )
 
@@ -60,20 +59,7 @@ func (tr *Tracker) ExportState() TrackerState {
 		Users:    make([]UserCheckpoint, 0, len(tr.users)),
 	}
 	for j, u := range tr.users {
-		st.Users = append(st.Users, UserCheckpoint{
-			User: j,
-			Snapshot: UserSnapshot{
-				Samples:     append([]geom.Point(nil), u.samples...),
-				Weights:     append([]float64(nil), u.weights...),
-				LastUpdate:  u.lastUpdate,
-				Initialized: u.initialized,
-				Velocity:    u.velocity,
-				HasVelocity: u.hasVelocity,
-				PrevMean:    u.prevMean,
-				HasPrevMean: u.hasPrevMean,
-			},
-			RNG: u.src.State(),
-		})
+		st.Users = append(st.Users, UserCheckpoint{User: j, Snapshot: u.snapshot(), RNG: u.src.State()})
 	}
 	sort.Slice(st.Users, func(a, b int) bool { return st.Users[a].User < st.Users[b].User })
 	return st

@@ -40,28 +40,6 @@ func fullRound(t float64, readings []float64) fault.Observation {
 	return fault.Observation{T: t, Readings: readings}
 }
 
-// TestStepUsersFullSubsetIsStep: a subset naming every user must take the
-// full-round path, byte for byte — with and without the active-set cap.
-func TestStepUsersFullSubsetIsStep(t *testing.T) {
-	for _, cfg := range []Config{
-		{N: 100, M: 5},
-		{N: 100, M: 5, ActiveSetLimit: 1},
-	} {
-		a, b, stream := subsetWorld(t, cfg)
-		for r, o := range stream {
-			tm := float64(r + 1)
-			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsersMasked(fullRound(tm, o), []int{0, 1, 2})
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("round %d: full subset diverged from Step (limit %d)", r, cfg.ActiveSetLimit)
-			}
-		}
-	}
-}
-
 // TestStepUsersPartialSubset: only the listed users are searched/updated;
 // the rest keep their state (idle estimates), exactly like an active-set
 // round treats unselected users.
@@ -74,12 +52,12 @@ func TestStepUsersPartialSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.StepUsersMasked(fullRound(2, stream[1]), []int{0, 1})
+	res, err := a.StepUsersMaskedSparse(fullRound(2, stream[1]), []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Estimates[2].Active {
-		t.Fatal("unlisted user reported active")
+	if len(res.Estimates) != 2 {
+		t.Fatalf("%d estimates for a 2-user subset", len(res.Estimates))
 	}
 	after2, err := a.ExportUser(2)
 	if err != nil {
@@ -89,42 +67,50 @@ func TestStepUsersPartialSubset(t *testing.T) {
 		t.Fatal("unlisted user's state changed")
 	}
 	// Subset contract violations.
-	for _, bad := range [][]int{{}, {1, 0}, {0, 0}, {-1}, {0, 7}} {
-		if _, err := a.StepUsersMasked(fullRound(3, stream[2]), bad); err == nil {
+	for _, bad := range [][]int{nil, {}, {1, 0}, {0, 0}, {-1}, {0, 7}} {
+		if _, err := a.StepUsersMaskedSparse(fullRound(3, stream[2]), bad, nil); err == nil {
 			t.Errorf("subset %v accepted", bad)
 		}
 	}
 }
 
-// TestStepUsersSparseMatchesDense: the sparse-output step must produce, for
-// each requested user, exactly the estimate the dense step produces in that
-// user's slot — same search, same updates, same objective — with the
-// caller's estimate buffer reused across rounds.
-func TestStepUsersSparseMatchesDense(t *testing.T) {
+// TestStepUsersSparseAlignsWithExport: each sparse estimate must carry the
+// sample set of the user it is aligned with, read back independently through
+// ExportUser, and every user outside the subset must keep its exact state —
+// with the caller's estimate buffer reused across rounds.
+func TestStepUsersSparseAlignsWithExport(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 100, M: 5},
 		{N: 100, M: 5, ActiveSetLimit: 1},
 	} {
-		a, b, stream := subsetWorld(t, cfg)
+		a, _, stream := subsetWorld(t, cfg)
 		subset := []int{0, 2}
 		var buf []Estimate
 		for r, o := range stream {
-			tm := float64(r + 1)
-			want, err1 := a.StepUsersMasked(fullRound(tm, o), subset)
-			got, err2 := b.StepUsersMaskedSparse(fullRound(tm, o), subset, buf)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
+			before, err := a.ExportUser(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := a.StepUsersMaskedSparse(fullRound(float64(r+1), o), subset, buf)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if len(got.Estimates) != len(subset) {
 				t.Fatalf("round %d: %d sparse estimates, want %d", r, len(got.Estimates), len(subset))
 			}
-			if got.Objective != want.Objective || got.Time != want.Time {
-				t.Fatalf("round %d: objective/time diverged", r)
-			}
 			for i, j := range subset {
-				if !reflect.DeepEqual(got.Estimates[i], want.Estimates[j]) {
-					t.Fatalf("round %d user %d: sparse estimate diverged from dense", r, j)
+				snap, err := a.ExportUser(j)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if !reflect.DeepEqual(got.Estimates[i].Samples, snap.Samples) ||
+					!reflect.DeepEqual(got.Estimates[i].Weights, snap.Weights) {
+					t.Fatalf("round %d: estimate %d is not user %d's sample set (limit %d)",
+						r, i, j, cfg.ActiveSetLimit)
+				}
+			}
+			if after, _ := a.ExportUser(1); !reflect.DeepEqual(before, after) {
+				t.Fatalf("round %d: user outside the subset changed (limit %d)", r, cfg.ActiveSetLimit)
 			}
 			buf = got.Estimates // reuse the buffer: contents must be rewritten
 		}
@@ -162,17 +148,15 @@ func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
 func TestActiveSetWithinExplicitSubset(t *testing.T) {
 	a, _, stream := subsetWorld(t, Config{N: 100, M: 5, ActiveSetLimit: 2})
 	subset := []int{0, 1, 2}
-	res, err := a.StepUsersMasked(fullRound(1, stream[0]), subset)
-	if err != nil {
+	if _, err := a.StepUsersMaskedSparse(fullRound(1, stream[0]), subset, nil); err != nil {
 		t.Fatal(err)
 	}
 	searched := 0
-	for j, est := range res.Estimates {
+	for _, j := range subset {
 		snap, _ := a.ExportUser(j)
 		if snap.Initialized {
 			searched++
 		}
-		_ = est
 	}
 	if searched == 0 || searched > 2 {
 		t.Fatalf("%d users searched, want 1..2 (ActiveSetLimit)", searched)
@@ -225,8 +209,8 @@ func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 		}
 	}
 	// The moved trackers must keep producing identical rounds.
-	r1, err1 := b1.StepUsersMasked(fullRound(3, stream[2]), []int{1})
-	r2, err2 := b2.StepUsersMasked(fullRound(3, stream[2]), []int{1})
+	r1, err1 := b1.StepUsersMaskedSparse(fullRound(3, stream[2]), []int{1}, nil)
+	r2, err2 := b2.StepUsersMaskedSparse(fullRound(3, stream[2]), []int{1}, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
